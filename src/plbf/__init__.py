@@ -32,7 +32,6 @@ from .dp import (
     divergence,
     divergence_table,
     divergence_table_monotone,
-    divergence_table_prefix,
     monotone_row_maxima,
     trace_boundaries,
 )
@@ -51,6 +50,7 @@ from .optimizer import (
     optimal_fprs_for_memory,
     plan_from_dict,
     plan_to_dict,
+    planning_table,
     solve,
     solve_timed,
 )
@@ -84,7 +84,6 @@ __all__ = [
     "divergence",
     "divergence_table",
     "divergence_table_monotone",
-    "divergence_table_prefix",
     "ensure_positive_masses",
     "exhaustive_plan",
     "expected_fpr",
@@ -97,6 +96,7 @@ __all__ = [
     "optimal_fprs_for_memory",
     "plan_from_dict",
     "plan_to_dict",
+    "planning_table",
     "read_records_csv",
     "region_seed",
     "sample_records",

@@ -22,7 +22,7 @@ from .distribution import (
     synthesize_records,
     write_records_csv,
 )
-from .dp import _TableBuilder, divergence_table, divergence_table_monotone, write_table_csv
+from .dp import write_table_csv
 from .errors import InfeasibleError, ValidationError
 from .filters import build_filter, load_filter
 from .optimizer import (
@@ -32,6 +32,7 @@ from .optimizer import (
     bloom_memory_bits,
     expected_fpr,
     plan_to_dict,
+    planning_table,
     solve_timed,
 )
 
@@ -101,17 +102,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _dump_dp(dist, config, path) -> None:
-    if config.algorithm == "fastpp":
-        table = divergence_table_monotone(dist, config.n_regions)
-    elif config.algorithm == "relaxed":
-        n = dist.n_segments
-        table = _TableBuilder(dist, n + 1).build(n + 1, config.n_regions + 1)
-    else:
-        table = divergence_table(dist, config.n_regions)
-    write_table_csv(table, path)
-
-
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
     target_fpr, memory_bits = _budget(args)
@@ -132,7 +122,7 @@ def cmd_build(args) -> int:
     insert_seconds = time.perf_counter() - t0
     filt.save(args.out)
     if args.dump_dp:
-        _dump_dp(dist, config, args.dump_dp)
+        write_table_csv(planning_table(dist, config), args.dump_dp)
     report = {
         "algorithm": args.algorithm,
         "framework": args.framework,

@@ -9,12 +9,10 @@ clustering the first ``p`` segments into exactly ``q`` consecutive regions:
 optimal clustering (ties broken toward the smallest index), or -1 where no
 clustering exists.
 
-Three builders produce these tables:
+Two builders produce these tables:
 
 * :func:`divergence_table` fills the whole table bottom-up, one column per
   region count, in O(N^2 k) work.
-* :func:`divergence_table_prefix` is the same recurrence restricted to a
-  prefix of the segments, for callers that re-plan per prefix length.
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column.  Exact when the candidate
@@ -212,10 +210,10 @@ class _TableBuilder:
                 np.divide(g_mat, term, out=term)
                 np.log2(term, out=term)
                 np.multiply(g_mat, term, out=term)
-            term[forbidden] = NEG_INF
-            term[np.isnan(term)] = 0.0  # zero key mass contributes nothing
-            np.add(term, prev[None, :size], out=term)
-            term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
+                term[forbidden] = NEG_INF
+                term[np.isnan(term)] = 0.0  # zero key mass contributes nothing
+                np.add(term, prev[None, :size], out=term)
+                term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
             col_vals = term.max(axis=1)
             col_args = term.argmax(axis=1)
             values[1:, q] = col_vals
@@ -237,24 +235,6 @@ def divergence_table(dist: SegmentedDistribution, n_regions: int) -> DPTable:
     """Full table: rows cover prefixes 0..n_segments-1, columns 0..n_regions-1."""
     _validate_regions(dist, n_regions)
     return _TableBuilder(dist, dist.n_segments).build(dist.n_segments, n_regions)
-
-
-def divergence_table_prefix(
-    dist: SegmentedDistribution, boundary_segment: int, n_regions: int
-) -> DPTable:
-    """Table restricted to the segments before ``boundary_segment``.
-
-    Covers prefixes 0..boundary_segment-1, i.e. clusterings of the segments
-    that precede the final region's first segment.  Entry for entry equal to
-    the same window of :func:`divergence_table`.
-    """
-    _validate_regions(dist, n_regions)
-    if not (n_regions <= boundary_segment <= dist.n_segments):
-        raise ValidationError(
-            f"boundary_segment must lie in [{n_regions}, {dist.n_segments}], "
-            f"got {boundary_segment}"
-        )
-    return _TableBuilder(dist, boundary_segment).build(boundary_segment, n_regions)
 
 
 def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DPTable:

@@ -102,10 +102,7 @@ class BuildConfig:
     """Planner configuration.
 
     Exactly one budget applies: ``target_fpr`` in (0, 1) under the ``fpr``
-    framework, ``memory_bits`` > 0 under ``memory``.  ``scaled_keys`` is the
-    key count multiplied by the backend's bits-per-key factor (log2 e for the
-    classic Bloom backend); leave it None to derive that product from the
-    distribution being solved.
+    framework, ``memory_bits`` > 0 under ``memory``.
     """
 
     framework: str
@@ -114,7 +111,6 @@ class BuildConfig:
     algorithm: str = "fast"
     target_fpr: float | None = None
     memory_bits: float | None = None
-    scaled_keys: float | None = None
 
     def __post_init__(self) -> None:
         if self.framework not in FRAMEWORKS:
@@ -138,8 +134,6 @@ class BuildConfig:
         else:
             if self.memory_bits is None or not (self.memory_bits > 0):
                 raise ValidationError("memory framework needs memory_bits > 0")
-        if self.scaled_keys is not None and not (self.scaled_keys > 0):
-            raise ValidationError("scaled_keys must be positive when given")
 
     def require_matching(self, dist: SegmentedDistribution) -> None:
         if dist.n_segments != self.n_segments:
@@ -149,13 +143,10 @@ class BuildConfig:
             )
 
     def effective_scaled_keys(self, dist: SegmentedDistribution) -> float:
-        if self.scaled_keys is not None:
-            return self.scaled_keys
+        """Key count times the classic Bloom backend's bits-per-key factor, log2 e."""
         scaled = LOG2_E * dist.n_keys
         if scaled <= 0:
-            raise ValidationError(
-                "distribution has no key count; pass scaled_keys explicitly"
-            )
+            raise ValidationError("distribution has no key count")
         return scaled
 
 
@@ -182,8 +173,40 @@ def ensure_positive_masses(dist: SegmentedDistribution) -> SegmentedDistribution
     return _build(dist.n_segments, g, h, dist.n_keys)
 
 
-def _floor_rates(f: list[float]) -> list[float]:
-    return [fi if fi >= FPR_FLOOR else FPR_FLOOR for fi in f]
+def _positive_masses(key_mass, nonkey_mass) -> tuple[list[float], list[float]]:
+    g = list(map(float, key_mass))
+    h = list(map(float, nonkey_mass))
+    if len(g) < 1 or len(h) != len(g):
+        raise ValidationError("mass vectors must be equally sized and nonempty")
+    if any(x <= 0 for x in g) or any(x <= 0 for x in h):
+        raise ValidationError("region masses must be positive")
+    return g, h
+
+
+def _clamped_rates(g: list[float], h: list[float], free_rates) -> list[float]:
+    """Clamp rates above 1 and re-solve the rest until all lie in (0, 1].
+
+    ``free_rates(free, g_clamped, h_clamped)`` is the framework's closed form:
+    the rates of the regions listed in ``free`` (index order), given the key
+    and non-key mass of the regions already clamped to 1.  The first solve is
+    the re-solve with nothing clamped.
+    """
+    k = len(g)
+    f = free_rates(range(k), 0.0, 0.0)
+    clamped = [False] * k
+    while True:
+        newly = [i for i in range(k) if not clamped[i] and f[i] > 1.0]
+        if not newly:
+            return [fi if fi >= FPR_FLOOR else FPR_FLOOR for fi in f]
+        for i in newly:
+            clamped[i] = True
+            f[i] = 1.0
+        free = [i for i in range(k) if not clamped[i]]
+        held = [i for i in range(k) if clamped[i]]
+        g_clamped = sum([g[i] for i in held])
+        h_clamped = sum([h[i] for i in held])
+        for i, fi in zip(free, free_rates(free, g_clamped, h_clamped)):
+            f[i] = fi
 
 
 def optimal_fprs_for_fpr(key_mass, nonkey_mass, target_fpr: float) -> list[float]:
@@ -194,34 +217,18 @@ def optimal_fprs_for_fpr(key_mass, nonkey_mass, target_fpr: float) -> list[float
     lies in (0, 1].  With mass vectors summing to 1 the result always spends
     the budget exactly: sum(H_i * f_i) == F.
     """
-    g = [float(x) for x in key_mass]
-    h = [float(x) for x in nonkey_mass]
-    k = len(g)
-    if k < 1 or len(h) != k:
-        raise ValidationError("mass vectors must be equally sized and nonempty")
-    if any(x <= 0 for x in g) or any(x <= 0 for x in h):
-        raise ValidationError("region masses must be positive")
+    g, h = _positive_masses(key_mass, nonkey_mass)
     if not (0.0 < target_fpr < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
-    f = [gi * target_fpr / hi for gi, hi in zip(g, h)]
-    clamped = [False] * k
-    while True:
-        newly = [i for i in range(k) if not clamped[i] and f[i] > 1.0]
-        if not newly:
-            return _floor_rates(f)
-        for i in newly:
-            clamped[i] = True
-            f[i] = 1.0
-        free = [i for i in range(k) if not clamped[i]]
-        h_clamped = sum(h[i] for i in range(k) if clamped[i])
+
+    def free_rates(free, g_clamped, h_clamped):
         if not free:
             if h_clamped > target_fpr:
                 raise InfeasibleError(
                     f"clamped regions alone carry rate {h_clamped:.6g} > "
                     f"target {target_fpr:.6g}"
                 )
-            return f
-        g_clamped = sum(g[i] for i in range(k) if clamped[i])
+            return []
         budget = target_fpr - h_clamped
         head_room = 1.0 - g_clamped
         if budget <= 0.0 or head_room <= 0.0:
@@ -229,8 +236,9 @@ def optimal_fprs_for_fpr(key_mass, nonkey_mass, target_fpr: float) -> list[float
                 f"cannot meet target rate {target_fpr:.6g}: clamped regions "
                 f"already carry {h_clamped:.6g}"
             )
-        for i in free:
-            f[i] = g[i] * budget / (h[i] * head_room)
+        return [g[i] * budget / (h[i] * head_room) for i in free]
+
+    return _clamped_rates(g, h, free_rates)
 
 
 def optimal_fprs_for_memory(
@@ -243,36 +251,20 @@ def optimal_fprs_for_memory(
     rates still in play; clamping and re-solving proceeds as in the rate
     framework.  A budget of 0 simply clamps everything to 1.
     """
-    g = [float(x) for x in key_mass]
-    h = [float(x) for x in nonkey_mass]
-    k = len(g)
-    if k < 1 or len(h) != k:
-        raise ValidationError("mass vectors must be equally sized and nonempty")
-    if any(x <= 0 for x in g) or any(x <= 0 for x in h):
-        raise ValidationError("region masses must be positive")
+    g, h = _positive_masses(key_mass, nonkey_mass)
     if memory_bits < 0:
         raise ValidationError("memory_bits must be nonnegative")
     if not (scaled_keys > 0):
         raise ValidationError("scaled_keys must be positive")
-    k_sum = sum(gi * log2(gi / hi) for gi, hi in zip(g, h))
-    beta = (memory_bits + scaled_keys * k_sum) / scaled_keys
-    f = [2.0 ** (-beta) * gi / hi for gi, hi in zip(g, h)]
-    clamped = [False] * k
-    while True:
-        newly = [i for i in range(k) if not clamped[i] and f[i] > 1.0]
-        if not newly:
-            return _floor_rates(f)
-        for i in newly:
-            clamped[i] = True
-            f[i] = 1.0
-        free = [i for i in range(k) if not clamped[i]]
+
+    def free_rates(free, g_clamped, _h_clamped):
         if not free:
-            return f
-        g_clamped = sum(g[i] for i in range(k) if clamped[i])
+            return []
         k_sum = sum(g[i] * log2(g[i] / h[i]) for i in free)
         beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * (1.0 - g_clamped))
-        for i in free:
-            f[i] = 2.0 ** (-beta) * g[i] / h[i]
+        return [2.0 ** (-beta) * g[i] / h[i] for i in free]
+
+    return _clamped_rates(g, h, free_rates)
 
 
 def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float:
@@ -303,6 +295,22 @@ def solve(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
     return plan
 
 
+def planning_table(dist: SegmentedDistribution, config: BuildConfig) -> DPTable:
+    """The divergence table the configured planner traces.
+
+    ``fast`` and ``plbf`` share the full table (``plbf``'s per-start tables
+    are windows of it), ``fastpp`` uses the row-maxima table, and ``relaxed``
+    the (N+1) x (k+1) table that clusters all segments without the rate cap.
+    """
+    k = config.n_regions
+    if config.algorithm == "fastpp":
+        return divergence_table_monotone(dist, k)
+    if config.algorithm == "relaxed":
+        n = dist.n_segments
+        return _TableBuilder(dist, n + 1).build(n + 1, k + 1)
+    return divergence_table(dist, k)
+
+
 def solve_timed(
     dist: SegmentedDistribution, config: BuildConfig
 ) -> tuple[RegionPlan, SolveStats]:
@@ -314,46 +322,39 @@ def solve_timed(
     gp = dist.g_prefix.tolist()
     hp = dist.h_prefix.tolist()
     started = time.perf_counter()
-    dp_seconds = 0.0
+
+    per_start = config.algorithm == "plbf"
+    if per_start:
+        # re-plan from scratch for every final-region start: the cubic baseline
+        builder = _TableBuilder(dist, n)
+    else:
+        table = planning_table(dist, config)
+    dp_seconds = time.perf_counter() - started
 
     if config.algorithm == "relaxed":
-        # One clustering of all segments into every region at once, sized
-        # without the rate cap; clamping still applies to the rates after.
-        table = _TableBuilder(dist, n + 1).build(n + 1, k + 1)
-        dp_seconds = time.perf_counter() - started
-        ends = _trace(table, n, k)
-        candidates = [(0,) + tuple(ends)]
+        # one clustering of all segments into every region at once, sized
+        # without the rate cap; clamping still applies to the rates after
+        candidates = [(0,) + tuple(_trace(table, n, k))]
     else:
-        if config.algorithm == "fast":
-            table = divergence_table(dist, k)
-            dp_seconds = time.perf_counter() - started
-            tables = lambda j: table  # noqa: E731 - one table serves every start
-        elif config.algorithm == "fastpp":
-            table = divergence_table_monotone(dist, k)
-            dp_seconds = time.perf_counter() - started
-            tables = lambda j: table  # noqa: E731
-        else:  # plbf: re-plan from scratch for every final-region start
-            builder = _TableBuilder(dist, n)
-
-            def tables(j: int, _builder=builder) -> DPTable:
-                nonlocal dp_seconds
-                t0 = time.perf_counter()
-                tbl = _builder.build(j, k)
-                dp_seconds += time.perf_counter() - t0
-                return tbl
-
         candidates = []
         for j in range(k, n + 1):
-            tbl = tables(j)
-            if tbl.values[j - 1, k - 1] == float("-inf"):
+            if per_start:
+                t0 = time.perf_counter()
+                table = builder.build(j, k)
+                dp_seconds += time.perf_counter() - t0
+            if table.values[j - 1, k - 1] == float("-inf"):
                 continue  # this start is unreachable for the approximate table
-            ends = _trace(tbl, j - 1, k - 1)
+            ends = _trace(table, j - 1, k - 1)
             candidates.append(tuple([0] + ends + [n]))
 
     best = None
     for bounds in candidates:
         key_mass = [gp[b] - gp[a] for a, b in zip(bounds, bounds[1:])]
         nonkey_mass = [hp[b] - hp[a] for a, b in zip(bounds, bounds[1:])]
+        if 0.0 in key_mass or 0.0 in nonkey_mass:
+            # prefix sums never decrease, so a region that cancellation
+            # emptied has mass exactly 0 and no closed-form rate
+            continue
         fprs, score = _rates_and_score(config, scaled, key_mass, nonkey_mass)
         if best is None or score < best[0]:
             best = (score, bounds, fprs, key_mass, nonkey_mass)

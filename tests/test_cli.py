@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,10 +287,12 @@ class TestParsing:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "data.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "plbf", "gen", "--out", str(out),
              "--segments", "20", "--keys", "50", "--nonkeys", "50"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -14,7 +14,6 @@ from plbf import (
     divergence,
     divergence_table,
     divergence_table_monotone,
-    divergence_table_prefix,
     monotone_row_maxima,
     trace_boundaries,
     zipfian_distribution,
@@ -106,24 +105,6 @@ class TestDivergenceTable:
             divergence_table(d, 1)
         with pytest.raises(ValidationError):
             divergence_table(d, 3)  # k must stay below n
-
-
-class TestDivergenceTablePrefix:
-    def test_equals_window_of_full_table(self):
-        rng = np.random.default_rng(3)
-        d = random_distribution(rng, 14)
-        full = divergence_table(d, 3)
-        for j in (3, 7, 14):
-            window = divergence_table_prefix(d, j, 3)
-            assert np.array_equal(window.values, full.values[:j])
-            assert np.array_equal(window.parents, full.parents[:j])
-
-    def test_boundary_segment_validation(self):
-        d = random_distribution(np.random.default_rng(4), 8)
-        with pytest.raises(ValidationError):
-            divergence_table_prefix(d, 2, 3)
-        with pytest.raises(ValidationError):
-            divergence_table_prefix(d, 9, 3)
 
 
 class TestTraceBoundaries:

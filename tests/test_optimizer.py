@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_distribution
 
 from plbf import (
+    ALGORITHMS,
     LOG2_E,
     BuildConfig,
     InfeasibleError,
@@ -14,12 +16,15 @@ from plbf import (
     SyntheticSpec,
     ValidationError,
     bloom_memory_bits,
+    divergence_table,
+    divergence_table_monotone,
     ensure_positive_masses,
     expected_fpr,
     optimal_fprs_for_fpr,
     optimal_fprs_for_memory,
     plan_from_dict,
     plan_to_dict,
+    planning_table,
     solve,
     solve_timed,
     zipfian_distribution,
@@ -191,15 +196,10 @@ class TestBuildConfig:
         with pytest.raises(ValidationError):
             BuildConfig(framework="memory", n_segments=10, n_regions=3, memory_bits=0.0)
 
-    def test_scaled_keys_default_and_override(self):
+    def test_scaled_keys_follow_key_count(self):
         d = SegmentedDistribution.from_masses([1, 1, 1, 1], [1, 1, 1, 1], n_keys=100)
         cfg = BuildConfig(framework="fpr", n_segments=4, n_regions=2, target_fpr=0.1)
         assert cfg.effective_scaled_keys(d) == pytest.approx(100 * LOG2_E)
-        cfg2 = BuildConfig(
-            framework="fpr", n_segments=4, n_regions=2, target_fpr=0.1,
-            scaled_keys=777.0,
-        )
-        assert cfg2.effective_scaled_keys(d) == 777.0
 
     def test_zero_key_count_needs_explicit_scaling(self):
         d = SegmentedDistribution.from_masses([1, 1, 1], [1, 1, 1], n_keys=0)
@@ -328,6 +328,51 @@ class TestSolve:
             framework="fpr", n_segments=4, n_regions=2, target_fpr=0.1,
         ))
         assert plan.n_regions == 2
+
+    def test_vanishing_nonkey_mass_leaks_no_warning(self):
+        # 1e-30 vanishes in the non-key prefix sums: segment 2 alone has
+        # infinite divergence, next to unreachable -inf table cells
+        d = SegmentedDistribution.from_masses([1, 1, 1], [1, 1e-30, 1], n_keys=100)
+        for algo in ALGORITHMS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = solve(d, BuildConfig(
+                    framework="fpr", n_segments=3, n_regions=2,
+                    algorithm=algo, target_fpr=0.01,
+                ))
+            assert plan.boundaries == (0, 1, 3), algo
+
+    def test_layouts_with_an_empty_region_are_skipped(self):
+        # segment 3's non-key mass cancels out of the prefix sums, so a
+        # region holding only it has mass exactly 0 and no closed-form rate
+        d = SegmentedDistribution.from_masses([1, 1, 1, 1], [1, 1, 1e-30, 1], n_keys=100)
+        budgets = {"fpr": dict(target_fpr=0.01), "memory": dict(memory_bits=300.0)}
+        for framework, budget in budgets.items():
+            base = dict(framework=framework, n_segments=4, n_regions=3, **budget)
+            for algo in ("plbf", "fast", "fastpp"):
+                plan = solve(d, BuildConfig(algorithm=algo, **base))
+                assert plan.boundaries == (0, 1, 2, 4), algo
+                if framework == "fpr":
+                    assert expected_fpr(plan.nonkey_mass, plan.fprs) <= 0.01 + 1e-9
+                else:
+                    used = bloom_memory_bits(plan.key_mass, plan.fprs, 100 * LOG2_E)
+                    assert used <= 300.0 + 1e-6
+            # relaxed's single layout is the one with the empty region
+            with pytest.raises(InfeasibleError):
+                solve(d, BuildConfig(algorithm="relaxed", **base))
+
+    def test_planning_table_per_algorithm(self):
+        d = random_distribution(np.random.default_rng(9), 12)
+        base = dict(framework="fpr", n_segments=12, n_regions=3, target_fpr=0.05)
+        full = divergence_table(d, 3)
+        for algo in ("plbf", "fast"):
+            table = planning_table(d, BuildConfig(algorithm=algo, **base))
+            assert np.array_equal(table.values, full.values)
+            assert np.array_equal(table.parents, full.parents)
+        table = planning_table(d, BuildConfig(algorithm="fastpp", **base))
+        assert np.array_equal(table.values, divergence_table_monotone(d, 3).values)
+        table = planning_table(d, BuildConfig(algorithm="relaxed", **base))
+        assert table.values.shape == (13, 4)
 
     def test_mismatched_segment_count_rejected(self):
         d = random_distribution(np.random.default_rng(4), 10)

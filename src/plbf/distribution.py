@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,11 @@ def _zipf_base(n_segments: int, exponent: float) -> tuple[np.ndarray, np.ndarray
     return weights[::-1].copy(), weights.copy()  # keys ascending, non-keys descending
 
 
-def _swap_positions(n_swaps: int, n_segments: int, seed: int) -> np.ndarray:
-    return _rng(seed).integers(0, n_segments - 1, size=n_swaps)
+def _swap_adjacent(rng, n_swaps: int, *columns: list) -> None:
+    """Exchange entries i and i + 1 of every column at ``n_swaps`` spots ``rng`` draws."""
+    for i in rng.integers(0, len(columns[0]) - 1, size=n_swaps).tolist():
+        for col in columns:
+            col[i], col[i + 1] = col[i + 1], col[i]
 
 
 def zipfian_distribution(spec: SyntheticSpec) -> SegmentedDistribution:
@@ -220,9 +224,7 @@ def apply_swaps(dist: SegmentedDistribution, n_swaps: int, seed: int) -> Segment
         return dist
     g = dist.g.tolist()
     h = dist.h.tolist()
-    for i in _swap_positions(n_swaps, dist.n_segments, seed).tolist():
-        g[i], g[i + 1] = g[i + 1], g[i]
-        h[i], h[i + 1] = h[i + 1], h[i]
+    _swap_adjacent(_rng(seed), n_swaps, g, h)
     return _build(
         dist.n_segments,
         np.asarray(g, dtype=np.float64),
@@ -261,10 +263,7 @@ def synthesize_records(spec: SyntheticSpec) -> list[ScoreRecord]:
     nonkey_counts = np.sort(_apportion(spec.n_nonkeys, h))[::-1].tolist()
     rng = _rng(spec.seed)
     if spec.n_swaps:
-        positions = rng.integers(0, spec.n_segments - 1, size=spec.n_swaps).tolist()
-        for i in positions:
-            key_counts[i], key_counts[i + 1] = key_counts[i + 1], key_counts[i]
-            nonkey_counts[i], nonkey_counts[i + 1] = nonkey_counts[i + 1], nonkey_counts[i]
+        _swap_adjacent(rng, spec.n_swaps, key_counts, nonkey_counts)
     records: list[ScoreRecord] = []
     records.extend(_fill_segments(rng, key_counts, spec.n_segments, True, "k"))
     records.extend(_fill_segments(rng, nonkey_counts, spec.n_segments, False, "q"))
@@ -308,7 +307,7 @@ def _fill_segments(rng, counts, n_segments, is_key, prefix) -> list[ScoreRecord]
             score = (seg + float(u)) / n_segments
             # Float rounding can push a score into the next bin; nudge it back.
             while segment_index(score, n_segments) != seg:
-                score = np.nextafter(score, 0.0)
+                score = math.nextafter(score, 0.0)
             records.append(ScoreRecord(f"{prefix}{serial:08d}", score, is_key))
             serial += 1
     return records
@@ -364,4 +363,4 @@ def write_records_csv(path, records) -> None:
             ident = rec.element_id
             if isinstance(ident, bytes):
                 ident = ident.decode("utf-8")
-            writer.writerow((ident, repr(rec.score), "1" if rec.is_key else "0"))
+            writer.writerow((ident, repr(float(rec.score)), "1" if rec.is_key else "0"))

@@ -172,6 +172,27 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
     return out
 
 
+def _fill_columns(n_rows: int, n_cols: int, row_maxima) -> DPTable:
+    """The column loop every table builder shares.
+
+    ``row_maxima(prev)`` receives a contiguous copy of the previous column
+    and returns, for rows 1..n_rows-1, each row's best value and the 0-based
+    start segment achieving it; unreachable rows carry -inf.
+    """
+    values = np.full((n_rows, n_cols), NEG_INF, dtype=np.float64)
+    parents = np.full((n_rows, n_cols), -1, dtype=np.int32)
+    values[0, 0] = 0.0
+    if n_rows < 2:
+        return DPTable(values, parents)
+    prev = values[:, 0].copy()
+    for q in range(1, n_cols):
+        col_vals, col_args = row_maxima(prev)
+        values[1:, q] = col_vals
+        parents[1:, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
+        prev = values[:, q].copy()
+    return DPTable(values, parents)
+
+
 class _TableBuilder:
     """Columnwise table construction over a reusable workspace.
 
@@ -191,35 +212,27 @@ class _TableBuilder:
         self._forbidden = np.triu(np.ones((size, size), dtype=bool), 1)
 
     def build(self, n_rows: int, n_cols: int) -> DPTable:
-        values = np.full((n_rows, n_cols), NEG_INF, dtype=np.float64)
-        parents = np.full((n_rows, n_cols), -1, dtype=np.int32)
-        values[0, 0] = 0.0
-        size = n_rows - 1
-        if size < 1:
-            return DPTable(values, parents)
+        return _fill_columns(n_rows, n_cols, self._scan)
+
+    def _scan(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row maxima of one column by scanning every candidate start."""
+        size = prev.size - 1
         gp = self._dist.g_prefix
         hp = self._dist.h_prefix
         g_mat = self._work_g[:size, :size]
         term = self._work_t[:size, :size]
-        forbidden = self._forbidden[:size, :size]
-        prev = values[:, 0].copy()
-        for q in range(1, n_cols):
-            np.subtract(gp[1 : size + 1, None], gp[None, :size], out=g_mat)
-            np.subtract(hp[1 : size + 1, None], hp[None, :size], out=term)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(g_mat, term, out=term)
-                np.log2(term, out=term)
-                np.multiply(g_mat, term, out=term)
-                term[forbidden] = NEG_INF
-                term[np.isnan(term)] = 0.0  # zero key mass contributes nothing
-                np.add(term, prev[None, :size], out=term)
-                term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
-            col_vals = term.max(axis=1)
-            col_args = term.argmax(axis=1)
-            values[1:, q] = col_vals
-            parents[1:, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
-            prev = values[:, q].copy()
-        return DPTable(values, parents)
+        np.subtract(gp[1 : size + 1, None], gp[None, :size], out=g_mat)
+        np.subtract(hp[1 : size + 1, None], hp[None, :size], out=term)
+        # a tiny non-key mass can overflow G / H to +inf, as in divergence()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(g_mat, term, out=term)
+            np.log2(term, out=term)
+            np.multiply(g_mat, term, out=term)
+            term[self._forbidden[:size, :size]] = NEG_INF
+            term[np.isnan(term)] = 0.0  # zero key mass contributes nothing
+            np.add(term, prev[None, :size], out=term)
+            term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
+        return term.max(axis=1), term.argmax(axis=1)
 
 
 def _validate_regions(dist: SegmentedDistribution, n_regions: int) -> None:
@@ -244,39 +257,14 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     arbitrary ones every entry is <= the exhaustive value.
     """
     _validate_regions(dist, n_regions)
-    n = dist.n_segments
-    values = np.full((n, n_regions), NEG_INF, dtype=np.float64)
-    parents = np.full((n, n_regions), -1, dtype=np.int32)
-    values[0, 0] = 0.0
-    prev = [0.0] + [NEG_INF] * (n - 1)
-    for q in range(1, n_regions):
-        maxima = monotone_row_maxima(TransitionMatrix(dist, prev))
-        cur = [NEG_INF] * n
-        for row, (col, val) in enumerate(maxima):
-            cur[row + 1] = val
-            if val > NEG_INF:
-                parents[row + 1, q] = col + 1
-        values[1:, q] = cur[1:]
-        prev = cur
-    return DPTable(values, parents)
 
+    def row_maxima(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # a list, not the array: numpy scalars would slow every entry lookup
+        maxima = monotone_row_maxima(TransitionMatrix(dist, prev.tolist()))
+        cols, vals = zip(*maxima)
+        return np.array(vals, dtype=np.float64), np.array(cols)
 
-def _trace(table: DPTable, p: int, q: int) -> list[int]:
-    """Region end positions for the clustering achieving values[p][q]."""
-    ends: list[int] = []
-    values = table.values
-    parents = table.parents
-    while q >= 1:
-        ends.append(p)
-        start = int(parents[p, q])
-        if start < 1:
-            raise InfeasibleError(f"no clustering recorded at table cell ({p}, {q})")
-        p = start - 1
-        q -= 1
-    if p != 0:
-        raise InfeasibleError("parent chain did not consume the whole prefix")
-    ends.reverse()
-    return ends
+    return _fill_columns(dist.n_segments, n_regions, row_maxima)
 
 
 def trace_boundaries(table: DPTable, boundary_segment: int, n_regions: int) -> list[int]:
@@ -295,7 +283,19 @@ def trace_boundaries(table: DPTable, boundary_segment: int, n_regions: int) -> l
         raise InfeasibleError(
             f"no clustering of {p} segments into {q} regions (table value is -inf)"
         )
-    return _trace(table, p, q)
+    parents = table.parents
+    ends: list[int] = []
+    while q >= 1:
+        ends.append(p)
+        start = int(parents[p, q])
+        if start < 1:
+            raise InfeasibleError(f"no clustering recorded at table cell ({p}, {q})")
+        p = start - 1
+        q -= 1
+    if p != 0:
+        raise InfeasibleError("parent chain did not consume the whole prefix")
+    ends.reverse()
+    return ends
 
 
 def write_table_csv(table: DPTable, path) -> None:

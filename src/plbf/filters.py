@@ -14,7 +14,7 @@ import json
 import struct
 from bisect import bisect_right
 
-from .bloom import BloomFilter
+from .bloom import BloomFilter, bits_for, hashes_for
 from .distribution import segment_index
 from .errors import ValidationError
 from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
@@ -145,15 +145,14 @@ class PlbfFilter:
 def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
     """Insert key records into per-region filters sized from the plan.
 
-    Two passes: count keys per region to size each filter, then insert.
-    Every record must be a key; non-keys only ever inform the plan.
+    One pass groups the key ids by region; each region's filter is then
+    sized from its group and filled with it.  Every record must be a key;
+    non-keys only ever inform the plan.
     """
-    table = list(records)
     boundaries = plan.boundaries
     n = plan.n_segments
-    regions = [0] * plan.n_regions
-    homes = []
-    for rec in table:
+    groups: list[list] = [[] for _ in range(plan.n_regions)]
+    for rec in records:
         if not rec.is_key:
             raise ValidationError(
                 f"build_filter expects keys only, got non-key {rec.element_id!r}"
@@ -164,25 +163,27 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
                 f"for {rec.element_id!r}"
             )
         home = bisect_right(boundaries, segment_index(rec.score, n)) - 1
-        homes.append(home)
-        regions[home] += 1
+        groups[home].append(rec.element_id)
     filters: list[BloomFilter | None] = []
-    for r, count in enumerate(regions):
-        if plan.fprs[r] >= 1.0 or count == 0:
+    for r, ids in enumerate(groups):
+        if plan.fprs[r] >= 1.0 or not ids:
             filters.append(None)
-        else:
-            filters.append(
-                BloomFilter.for_capacity(count, plan.fprs[r], region_seed(seed, r))
-            )
-    for rec, home in zip(table, homes):
-        filt = filters[home]
-        if filt is not None:
-            filt.insert(rec.element_id)
+            continue
+        filt = BloomFilter.for_capacity(len(ids), plan.fprs[r], region_seed(seed, r))
+        for element_id in ids:
+            filt.insert(element_id)
+        filters.append(filt)
     return PlbfFilter(plan, tuple(filters), seed)
 
 
 def load_filter(path) -> PlbfFilter:
-    """Read a filter written by :meth:`PlbfFilter.save`."""
+    """Read a filter written by :meth:`PlbfFilter.save`.
+
+    Accepts only what ``save`` writes for a filter ``build_filter`` made: the
+    region blobs lie end to end in region order and fill the blob section
+    exactly, and each blob carries its region's seed and the bit and hash
+    counts ``build_filter`` derives from its key count and planned rate.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _PREFIX.size:
@@ -216,6 +217,7 @@ def load_filter(path) -> PlbfFilter:
         )
     blob_section = body[header_len:]
     filters: list[BloomFilter | None] = []
+    blob_end = 0
     for r, entry in enumerate(entries):
         kind = entry.get("kind")
         if kind == "always_true":
@@ -228,12 +230,39 @@ def load_filter(path) -> PlbfFilter:
             filters.append(None)
         elif kind == "bloom":
             off, length = int(entry["offset"]), int(entry["length"])
-            if not (0 <= off <= off + length <= len(blob_section)):
+            if off != blob_end:
+                raise ValidationError(
+                    f"region {r} blob starts at {off}, expected {blob_end}"
+                )
+            if not (0 <= length <= len(blob_section) - off):
                 raise ValidationError(f"region {r} blob range out of bounds")
-            filters.append(BloomFilter.from_bytes(bytes(blob_section[off:off + length])))
+            blob_end = off + length
+            filt = BloomFilter.from_bytes(bytes(blob_section[off:blob_end]))
+            _check_region_filter(filt, r, region_seed(seed, r), plan.fprs[r])
+            filters.append(filt)
         else:
             raise ValidationError(f"region {r} has unknown kind {kind!r}")
+    if blob_end != len(blob_section):
+        raise ValidationError(
+            f"{len(blob_section) - blob_end} trailing bytes after the last region blob"
+        )
     return PlbfFilter(plan, tuple(filters), seed)
+
+
+def _check_region_filter(filt: BloomFilter, r: int, seed: int, fpr: float) -> None:
+    if filt.seed != seed:
+        raise ValidationError(f"region {r} filter seed {filt.seed} is not the region's seed")
+    n_bits = bits_for(filt.n_inserted, fpr)
+    if filt.n_bits != n_bits:
+        raise ValidationError(
+            f"region {r} has {filt.n_bits} bits, but {filt.n_inserted} keys "
+            f"at rate {fpr!r} size it at {n_bits}"
+        )
+    n_hashes = hashes_for(filt.n_inserted, n_bits)
+    if filt.n_hashes != n_hashes:
+        raise ValidationError(
+            f"region {r} has {filt.n_hashes} hashes, expected {n_hashes}"
+        )
 
 
 __all__ = [

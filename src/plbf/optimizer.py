@@ -27,13 +27,13 @@ from math import log2
 import numpy as np
 
 from .bloom import LOG2_E
-from .distribution import SegmentedDistribution, _build
+from .distribution import SegmentedDistribution
 from .dp import (
     DPTable,
     _TableBuilder,
-    _trace,
     divergence_table,
     divergence_table_monotone,
+    trace_boundaries,
 )
 from .errors import InfeasibleError, ValidationError
 
@@ -170,7 +170,7 @@ def ensure_positive_masses(dist: SegmentedDistribution) -> SegmentedDistribution
         return dist
     g = np.where(dist.g <= 0, MASS_FLOOR, dist.g)
     h = np.where(dist.h <= 0, MASS_FLOOR, dist.h)
-    return _build(dist.n_segments, g, h, dist.n_keys)
+    return SegmentedDistribution.from_masses(g, h, dist.n_keys, normalize=False)
 
 
 def _positive_masses(key_mass, nonkey_mass) -> tuple[list[float], list[float]]:
@@ -249,7 +249,8 @@ def optimal_fprs_for_memory(
     The unclamped optimum is f_i = 2^(-beta) * G_i / H_i with
     beta = (M + c|S| * K) / (c|S|), K being the summed G*log2(G/H) of the
     rates still in play; clamping and re-solving proceeds as in the rate
-    framework.  A budget of 0 simply clamps everything to 1.
+    framework.  A budget of 0 simply clamps everything to 1.  Raises
+    :class:`InfeasibleError` when the clamped regions leave no key mass.
     """
     g, h = _positive_masses(key_mass, nonkey_mass)
     if memory_bits < 0:
@@ -260,9 +261,18 @@ def optimal_fprs_for_memory(
     def free_rates(free, g_clamped, _h_clamped):
         if not free:
             return []
+        head_room = 1.0 - g_clamped
+        if head_room <= 0.0:
+            raise InfeasibleError(
+                f"cannot spend {memory_bits:.6g} bits: clamped regions "
+                f"already carry key mass {g_clamped:.6g}"
+            )
         k_sum = sum(g[i] * log2(g[i] / h[i]) for i in free)
-        beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * (1.0 - g_clamped))
-        return [2.0 ** (-beta) * g[i] / h[i] for i in free]
+        beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
+        # 2**1023 is the largest finite power of two: capping the exponent
+        # turns a beta below -1023 into rates far above 1, which clamp
+        scale = 2.0 ** min(-beta, 1023.0)
+        return [scale * g[i] / h[i] for i in free]
 
     return _clamped_rates(g, h, free_rates)
 
@@ -334,7 +344,7 @@ def solve_timed(
     if config.algorithm == "relaxed":
         # one clustering of all segments into every region at once, sized
         # without the rate cap; clamping still applies to the rates after
-        candidates = [(0,) + tuple(_trace(table, n, k))]
+        candidates = [(0,) + tuple(trace_boundaries(table, n + 1, k + 1))]
     else:
         candidates = []
         for j in range(k, n + 1):
@@ -344,7 +354,7 @@ def solve_timed(
                 dp_seconds += time.perf_counter() - t0
             if table.values[j - 1, k - 1] == float("-inf"):
                 continue  # this start is unreachable for the approximate table
-            ends = _trace(table, j - 1, k - 1)
+            ends = trace_boundaries(table, j, k)
             candidates.append(tuple([0] + ends + [n]))
 
     best = None

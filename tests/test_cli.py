@@ -169,6 +169,24 @@ class TestBuild:
         assert rc == 2
 
 
+    def test_memory_budget_with_no_key_mass_left_exits_two(self, tmp_path, capsys):
+        from plbf import ScoreRecord, write_records_csv
+
+        data = tmp_path / "split.csv"
+        write_records_csv(
+            data,
+            [ScoreRecord(f"k{i}", 0.05, True) for i in range(1000)]
+            + [ScoreRecord(f"q{i}", 0.95, False) for i in range(1000)],
+        )
+        rc = run(
+            "build", "--data", str(data), "--out", str(tmp_path / "x.plbf"),
+            "--segments", "4", "--regions", "3",
+            "--framework", "memory", "--memory-bits", "1e-8",
+        )
+        assert rc == 2
+        assert "infeasible" in capsys.readouterr().err
+
+
 class TestQuery:
     def _built(self, tmp_path):
         data = gen_dataset(tmp_path / "data.csv")

@@ -16,6 +16,7 @@ from plbf import (
     write_records_csv,
     zipfian_distribution,
 )
+from plbf.distribution import _fill_segments
 
 
 class TestSegmentIndex:
@@ -200,6 +201,18 @@ class TestSampleRecords:
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         records = synthesize_records(SyntheticSpec(15, 120, 80, seed=4))
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        assert read_records_csv(path) == records
+
+    def test_nudged_scores_round_trip(self, tmp_path):
+        class TopOfBin:
+            def random(self, count):
+                return np.full(count, 1 - 2**-53)
+
+        # (1 - 2**-53) / 3 rounds up to the bin edge 1/3 and is nudged back
+        records = _fill_segments(TopOfBin(), [1, 0, 0], 3, True, "k")
+        assert segment_index(records[0].score, 3) == 0
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         assert read_records_csv(path) == records

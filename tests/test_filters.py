@@ -246,6 +246,41 @@ class TestSaveLoad:
         with pytest.raises(ValidationError, match="always_true"):
             load_filter(path)
 
+    def test_rejects_trailing_bytes(self, tmp_path):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValidationError, match="trailing"):
+            load_filter(path)
+
+    def test_rejects_regions_sharing_a_blob(self, tmp_path):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        self._mutate_header(path, lambda h: h["regions"][1].update(h["regions"][0]))
+        with pytest.raises(ValidationError, match="region 1 blob starts at 0"):
+            load_filter(path)
+
+    # region 0's blob opens the blob section; its header is magic (4 bytes),
+    # version (u16), bit count (u64), hash count (u32), seed (u64), key count (u64)
+    @pytest.mark.parametrize("at, fmt, value, message", [
+        (14, "<I", 2**32 - 1, "hashes"),
+        (18, "<Q", 12345, "seed"),
+        (26, "<Q", 10**6, "bits"),
+    ])
+    def test_rejects_patched_blob_header(self, tmp_path, at, fmt, value, message):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        data = bytearray(path.read_bytes())
+        _, _, header_len = _PREFIX.unpack_from(data)
+        at += _PREFIX.size + header_len
+        data[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=message):
+            load_filter(path)
+
     def test_rejects_wrong_version(self, tmp_path):
         filt, _, _ = solved_filter()
         path = tmp_path / "f.plbf"

@@ -148,6 +148,22 @@ class TestOptimalFprsForMemory:
             grid_best = min(grid_best, h[0] * f1 + h[1] * f2)
         assert solver_fpr <= grid_best + 1e-6
 
+    def test_budget_beyond_float_range_clamps_instead_of_overflowing(self):
+        # unnormalized masses give beta < -1023, where 2**(-beta) overflows
+        f = optimal_fprs_for_memory(
+            [0.081, 0.23, 0.27, 0.061, 0.315, 0.124],
+            [0.476, 0.608, 0.904, 0.142, 0.632, 0.019],
+            3.5,
+            57.5,
+        )
+        assert f == [1.0] * 6
+
+    def test_no_key_mass_left_to_spend_on_is_infeasible(self):
+        # region 0 clamps and carries all the key mass, leaving region 1
+        # nothing to divide the budget by
+        with pytest.raises(InfeasibleError, match="key mass"):
+            optimal_fprs_for_memory([1.0, 1e-12], [1e-12, 1.0], 1e-8, 1000.0)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             optimal_fprs_for_memory([], [], 10.0, 10.0)
@@ -342,6 +358,20 @@ class TestSolve:
                 ))
             assert plan.boundaries == (0, 1, 3), algo
 
+    def test_overflowing_mass_ratio_leaks_no_warning(self):
+        # a denormal non-key mass next to a floored key mass: G / H overflows
+        d = SegmentedDistribution.from_masses(
+            [0.0] * 8 + [1.0], [5e-324] + [0.0] * 7 + [1.0], n_keys=1
+        )
+        for algo in ALGORITHMS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = solve(d, BuildConfig(
+                    framework="fpr", n_segments=9, n_regions=2,
+                    algorithm=algo, target_fpr=0.5,
+                ))
+            assert plan.boundaries == (0, 1, 9), algo
+
     def test_layouts_with_an_empty_region_are_skipped(self):
         # segment 3's non-key mass cancels out of the prefix sums, so a
         # region holding only it has mass exactly 0 and no closed-form rate
@@ -360,6 +390,15 @@ class TestSolve:
             # relaxed's single layout is the one with the empty region
             with pytest.raises(InfeasibleError):
                 solve(d, BuildConfig(algorithm="relaxed", **base))
+
+    def test_memory_budget_with_no_key_mass_left_is_infeasible(self):
+        d = SegmentedDistribution.from_masses([1, 0, 0, 0], [0, 0, 0, 1], n_keys=1000)
+        for algo in ALGORITHMS:
+            config = BuildConfig(
+                "memory", 4, 3, algorithm=algo, memory_bits=1e-8,
+            )
+            with pytest.raises(InfeasibleError):
+                solve(d, config)
 
     def test_planning_table_per_algorithm(self):
         d = random_distribution(np.random.default_rng(9), 12)

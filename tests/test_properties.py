@@ -1,0 +1,103 @@
+"""Property tests over sparse, skewed histograms.
+
+Masses are ``u ** p`` with p up to 30, and a share of them is zeroed, so
+inputs mix near-empty, empty and dominant segments: the shapes where
+floored masses and prefix-sum cancellation used to crash the planners.
+Runs are derandomized so the suite stays deterministic.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from plbf import (
+    ALGORITHMS,
+    BuildConfig,
+    InfeasibleError,
+    SegmentedDistribution,
+    build_filter,
+    load_filter,
+    sample_records,
+    segment_scores,
+    solve,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sparse_skewed_masses(draw, n, zero_share):
+    p = draw(st.floats(1.0, 30.0))
+    entries = draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=n, max_size=n,
+    ))
+    return [0.0 if z < zero_share else u**p for u, z in entries]
+
+
+@st.composite
+def planning_inputs(draw, max_segments=40):
+    n = draw(st.integers(3, max_segments))
+    g = draw(sparse_skewed_masses(n, 0.4))
+    h = draw(sparse_skewed_masses(n, 0.3))
+    assume(sum(g) > 0 and sum(h) > 0)
+    return {
+        "g": g,
+        "h": h,
+        "n_regions": draw(st.integers(2, n - 1)),
+        "n_keys": draw(st.integers(1, 10**6)),
+        "target_fpr": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "memory_bits": draw(st.floats(0.0, exclude_min=True)),
+    }
+
+
+def configs(case, n_segments):
+    for algo in ALGORITHMS:
+        base = dict(n_segments=n_segments, n_regions=case["n_regions"], algorithm=algo)
+        yield BuildConfig("fpr", target_fpr=case["target_fpr"], **base)
+        yield BuildConfig("memory", memory_bits=case["memory_bits"], **base)
+
+
+@PROPERTY_SETTINGS
+@given(case=planning_inputs())
+def test_accepted_input_gets_a_plan_or_infeasible_error(case):
+    d = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    for config in configs(case, d.n_segments):
+        try:
+            plan = solve(d, config)
+        except InfeasibleError:
+            continue
+        assert plan.n_regions == config.n_regions
+        assert plan.n_segments == d.n_segments
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=planning_inputs(max_segments=20),
+    n_keys=st.integers(1, 300),
+    n_nonkeys=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    pick=st.integers(0, 2 * len(ALGORITHMS) - 1),
+)
+def test_built_filters_hold_their_keys_and_round_trip(case, n_keys, n_nonkeys, seed, pick):
+    source = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=n_keys)
+    records = sample_records(source, n_keys, n_nonkeys, seed)
+    keys = [rec for rec in records if rec.is_key]
+    d = segment_scores(records, source.n_segments)
+    # one planner and framework per example: a lavish budget gives every
+    # key about a thousand probes, too slow to repeat for all eight
+    config = list(configs(case, d.n_segments))[pick]
+    try:
+        plan = solve(d, config)
+    except InfeasibleError:
+        return
+    filt = build_filter(keys, plan, seed)
+    assert all(filt.query(rec.element_id, rec.score) for rec in keys)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.plbf", Path(tmp) / "b.plbf"
+        filt.save(first)
+        loaded = load_filter(first)
+        assert loaded == filt
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()

@@ -6,8 +6,8 @@ and each region gets its own Bloom filter with an individually optimized
 false-positive rate.  Four planners share one plan format: ``plbf``
 (re-solves the table for every candidate final region), ``fast`` (one table,
 same plans), ``fastpp`` (divide-and-conquer row maxima; exact when key and
-non-key masses have monotone ratios), and ``relaxed`` (single unconstrained
-backtrace).
+non-key masses have monotone ratios), and ``relaxed`` (one start on ``fast``'s
+table: the best clustering of all segments, ignoring the rate cap).
 """
 
 from .bloom import LOG2_E, BloomFilter, bits_for, hashes_for

@@ -152,10 +152,13 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
     if n == 0 or m == 0:
         return out
     value = matrix.value
-
-    def rec(r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> None:
+    # an explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle that would keep ``matrix`` alive after the return
+    stack = [(0, n - 1, 0, m - 1)]
+    while stack:
+        r_lo, r_hi, c_lo, c_hi = stack.pop()
         if r_lo > r_hi:
-            return
+            continue
         mid = (r_lo + r_hi) >> 1
         best_c = c_lo
         best_v = value(mid, c_lo)
@@ -165,10 +168,9 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
                 best_v = v
                 best_c = c
         out[mid] = (best_c, best_v)
-        rec(r_lo, mid - 1, c_lo, best_c)
-        rec(mid + 1, r_hi, best_c, c_hi)
-
-    rec(0, n - 1, 0, m - 1)
+        # the upper half is pushed first so the lower half is solved first
+        stack.append((mid + 1, r_hi, best_c, c_hi))
+        stack.append((r_lo, mid - 1, c_lo, best_c))
     return out
 
 
@@ -201,11 +203,9 @@ class _TableBuilder:
     reallocates the O(N^2) scratch matrices.
     """
 
-    def __init__(self, dist: SegmentedDistribution, max_rows: int) -> None:
-        if not (2 <= max_rows <= dist.n_segments + 1):
-            raise ValidationError("max_rows out of range")
+    def __init__(self, dist: SegmentedDistribution) -> None:
         self._dist = dist
-        size = max_rows - 1
+        size = dist.n_segments - 1
         self._work_g = np.empty((size, size), dtype=np.float64)
         self._work_t = np.empty((size, size), dtype=np.float64)
         # entries with start segment past the end segment are forbidden
@@ -247,7 +247,7 @@ def _validate_regions(dist: SegmentedDistribution, n_regions: int) -> None:
 def divergence_table(dist: SegmentedDistribution, n_regions: int) -> DPTable:
     """Full table: rows cover prefixes 0..n_segments-1, columns 0..n_regions-1."""
     _validate_regions(dist, n_regions)
-    return _TableBuilder(dist, dist.n_segments).build(dist.n_segments, n_regions)
+    return _TableBuilder(dist).build(dist.n_segments, n_regions)
 
 
 def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DPTable:

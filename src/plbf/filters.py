@@ -200,13 +200,20 @@ def load_filter(path) -> PlbfFilter:
         header = json.loads(body[:header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"unreadable filter header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError("filter header is not a JSON object")
     try:
-        plan = plan_from_dict(header["plan"], algorithm=str(header["algorithm"]))
+        plan_doc, algorithm = header["plan"], str(header["algorithm"])
         seed = int(header["seed"])
         n_segments = int(header["n_segments"])
         entries = header["regions"]
     except KeyError as exc:
         raise ValidationError(f"filter header missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed filter header: {exc}") from exc
+    plan = plan_from_dict(plan_doc, algorithm=algorithm)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError("filter header regions must be a list of objects")
     if n_segments != plan.n_segments:
         raise ValidationError(
             f"header says {n_segments} segments, plan says {plan.n_segments}"
@@ -229,7 +236,12 @@ def load_filter(path) -> PlbfFilter:
                 raise ValidationError(f"region {r} marked always_false but rate is 1")
             filters.append(None)
         elif kind == "bloom":
-            off, length = int(entry["offset"]), int(entry["length"])
+            try:
+                off, length = int(entry["offset"]), int(entry["length"])
+            except KeyError as exc:
+                raise ValidationError(f"region {r} entry missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"region {r} has a malformed blob range: {exc}") from exc
             if off != blob_end:
                 raise ValidationError(
                     f"region {r} blob starts at {off}, expected {blob_end}"

@@ -1,9 +1,9 @@
 """Region planning: thresholds from the DP tables, rates from closed forms.
 
-A plan fixes (a) region boundaries, found by sweeping every possible first
-segment of the final region and backtracing the divergence tables, and (b)
-one false-positive rate per region, from the closed-form optimum of the
-chosen framework:
+A plan fixes (a) region boundaries, by backtracing the divergence table from
+every possible first segment of the final region (``relaxed``: only from the
+one that clusters all segments with the most divergence), and (b) one
+false-positive rate per region, from the closed-form optimum of the framework:
 
 * ``fpr`` framework: meet an overall target rate F while minimizing memory.
   The unconstrained optimum is f_i = G_i * F / H_i; rates that land above 1
@@ -11,7 +11,8 @@ chosen framework:
 * ``memory`` framework: spend a bit budget M while minimizing the expected
   rate.  With c|S| denoting keys scaled by the filter's bits-per-key factor,
   the optimum is f_i = 2^(-beta) * G_i / H_i with beta chosen to spend M
-  exactly, re-solved under the same clamping loop.
+  exactly, re-solved under the same clamping loop (a region whose G_i / H_i
+  overflows clamps to 1 before beta is solved).
 
 Candidates are scored by total filter memory (``fpr`` framework) or by
 expected false-positive rate (``memory`` framework); the sweep keeps the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import log2
+from math import inf, log2
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .distribution import SegmentedDistribution
 from .dp import (
     DPTable,
     _TableBuilder,
+    divergence,
     divergence_table,
     divergence_table_monotone,
     trace_boundaries,
@@ -249,7 +251,8 @@ def optimal_fprs_for_memory(
     The unclamped optimum is f_i = 2^(-beta) * G_i / H_i with
     beta = (M + c|S| * K) / (c|S|), K being the summed G*log2(G/H) of the
     rates still in play; clamping and re-solving proceeds as in the rate
-    framework.  A budget of 0 simply clamps everything to 1.  Raises
+    framework, and a region whose G/H overflows to +inf clamps first.  A
+    budget of 0 simply clamps everything to 1.  Raises
     :class:`InfeasibleError` when the clamped regions leave no key mass.
     """
     g, h = _positive_masses(key_mass, nonkey_mass)
@@ -268,6 +271,11 @@ def optimal_fprs_for_memory(
                 f"already carry key mass {g_clamped:.6g}"
             )
         k_sum = sum(g[i] * log2(g[i] / h[i]) for i in free)
+        if k_sum == inf:
+            # a region whose G/H overflowed would make beta infinite for all:
+            # it clamps to 1 first (any rate above 1 does) and the rest, given
+            # placeholders here, are re-solved without it
+            return [inf if g[i] / h[i] == inf else 0.0 for i in free]
         beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
         # 2**1023 is the largest finite power of two: capping the exponent
         # turns a beta below -1023 into rates far above 1, which clamp
@@ -308,17 +316,13 @@ def solve(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
 def planning_table(dist: SegmentedDistribution, config: BuildConfig) -> DPTable:
     """The divergence table the configured planner traces.
 
-    ``fast`` and ``plbf`` share the full table (``plbf``'s per-start tables
-    are windows of it), ``fastpp`` uses the row-maxima table, and ``relaxed``
-    the (N+1) x (k+1) table that clusters all segments without the rate cap.
+    ``fastpp`` uses the row-maxima table; every other planner uses the full
+    N x k table (``plbf``'s per-start tables are windows of it, and
+    ``relaxed`` picks the start of its final region from it).
     """
-    k = config.n_regions
     if config.algorithm == "fastpp":
-        return divergence_table_monotone(dist, k)
-    if config.algorithm == "relaxed":
-        n = dist.n_segments
-        return _TableBuilder(dist, n + 1).build(n + 1, k + 1)
-    return divergence_table(dist, k)
+        return divergence_table_monotone(dist, config.n_regions)
+    return divergence_table(dist, config.n_regions)
 
 
 def solve_timed(
@@ -336,26 +340,27 @@ def solve_timed(
     per_start = config.algorithm == "plbf"
     if per_start:
         # re-plan from scratch for every final-region start: the cubic baseline
-        builder = _TableBuilder(dist, n)
+        builder = _TableBuilder(dist)
     else:
         table = planning_table(dist, config)
     dp_seconds = time.perf_counter() - started
 
+    starts = range(k, n + 1)
     if config.algorithm == "relaxed":
-        # one clustering of all segments into every region at once, sized
-        # without the rate cap; clamping still applies to the rates after
-        candidates = [(0,) + tuple(trace_boundaries(table, n + 1, k + 1))]
-    else:
-        candidates = []
-        for j in range(k, n + 1):
-            if per_start:
-                t0 = time.perf_counter()
-                table = builder.build(j, k)
-                dp_seconds += time.perf_counter() - t0
-            if table.values[j - 1, k - 1] == float("-inf"):
-                continue  # this start is unreachable for the approximate table
-            ends = trace_boundaries(table, j, k)
-            candidates.append(tuple([0] + ends + [n]))
+        # the one start whose layout has the most divergence, regardless of
+        # the rate cap; clamping still applies to the rates after
+        values = table.values[:, k - 1].tolist()
+        starts = [max(starts, key=lambda j: values[j - 1] + divergence(dist, j, n))]
+    candidates = []
+    for j in starts:
+        if per_start:
+            t0 = time.perf_counter()
+            table = builder.build(j, k)
+            dp_seconds += time.perf_counter() - t0
+        if table.values[j - 1, k - 1] == float("-inf"):
+            continue  # this start is unreachable for the approximate table
+        ends = trace_boundaries(table, j, k)
+        candidates.append(tuple([0] + ends + [n]))
 
     best = None
     for bounds in candidates:
@@ -409,7 +414,7 @@ def plan_to_dict(plan: RegionPlan) -> dict:
 def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
     """Rebuild a plan from :func:`plan_to_dict` output."""
     try:
-        return RegionPlan(
+        fields = dict(
             n_regions=int(data["n_regions"]),
             boundaries=tuple(int(b) for b in data["boundaries"]),
             fprs=tuple(float(f) for f in data["fprs"]),
@@ -417,7 +422,9 @@ def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
             nonkey_mass=tuple(float(x) for x in data["nonkey_mass"]),
             objective=float(data["objective"]),
             framework=str(data["framework"]),
-            algorithm=algorithm,
         )
     except KeyError as exc:
         raise ValidationError(f"plan document missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed plan document: {exc}") from exc
+    return RegionPlan(**fields, algorithm=algorithm)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,21 @@ class TestQuery:
         data = gen_dataset(tmp_path / "data.csv")
         rc = run("query", "--filter", str(tmp_path / "ghost.plbf"), "--data", str(data))
         assert rc == 1
+
+    def test_malformed_filter_header_exits_one(self, tmp_path, capsys):
+        data, filt = self._built(tmp_path)
+        # the same header wrapped in a list: magic, version, header length, header, blobs
+        prefix = struct.Struct("<4sHI")
+        blob = filt.read_bytes()
+        magic, version, size = prefix.unpack_from(blob)
+        header = json.dumps([json.loads(blob[prefix.size:prefix.size + size])]).encode()
+        filt.write_bytes(
+            prefix.pack(magic, version, len(header)) + header + blob[prefix.size + size:]
+        )
+        capsys.readouterr()
+        rc = run("query", "--filter", str(filt), "--data", str(data))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: filter header is not a JSON object")
 
 
 class TestBench:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -161,6 +163,23 @@ class TestMonotoneRowMaxima:
         n, m = 128, 128
         assert counted.calls <= 4 * (n + m * math.log2(n))
         assert counted.calls < n * m / 4  # far below the full scan
+
+    def test_leaves_no_reference_cycle(self):
+        class Matrix:  # DenseMatrix has __slots__, so no weak reference
+            row_count = col_count = 6
+
+            def value(self, row, col):
+                return -abs(row - col)
+
+        matrix = Matrix()
+        alive = weakref.ref(matrix)
+        gc.disable()
+        try:
+            assert monotone_row_maxima(matrix) == [(r, 0) for r in range(6)]
+            del matrix
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestTransitionMatrix:

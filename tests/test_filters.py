@@ -52,6 +52,10 @@ def solved_filter(seed=0):
     return build_filter(keys, plan, seed=seed), keys, plan
 
 
+def _drop(entry, field):
+    return {k: v for k, v in entry.items() if k != field}
+
+
 class TestBuildFilter:
     def test_keys_always_answer_true(self):
         filt, keys, _ = solved_filter()
@@ -214,17 +218,23 @@ class TestSaveLoad:
         with pytest.raises(ValidationError):
             load_filter(path)
 
-    def _mutate_header(self, path, mutate):
+    def _rewrite_header(self, path, rewrite):
         data = path.read_bytes()
         magic, version, header_len = _PREFIX.unpack_from(data)
         header = json.loads(data[_PREFIX.size:_PREFIX.size + header_len])
-        mutate(header)
-        payload = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = json.dumps(rewrite(header), sort_keys=True).encode("utf-8")
         path.write_bytes(
             _PREFIX.pack(magic, version, len(payload))
             + payload
             + data[_PREFIX.size + header_len:]
         )
+
+    def _mutate_header(self, path, mutate):
+        def rewrite(header):
+            mutate(header)
+            return header
+
+        self._rewrite_header(path, rewrite)
 
     def test_rejects_unknown_region_kind(self, tmp_path):
         filt, _, _ = solved_filter()
@@ -232,6 +242,27 @@ class TestSaveLoad:
         filt.save(path)
         self._mutate_header(path, lambda h: h["regions"][0].update(kind="mystery"))
         with pytest.raises(ValidationError, match="kind"):
+            load_filter(path)
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (lambda h: dict(h, regions=[7] + h["regions"][1:]), "list of objects"),
+        (lambda h: dict(h, regions=[_drop(e, "offset") for e in h["regions"]]),
+         "missing field 'offset'"),
+        (lambda h: dict(h, regions=[_drop(e, "length") for e in h["regions"]]),
+         "missing field 'length'"),
+        (lambda h: [h], "not a JSON object"),
+        (lambda h: dict(h, plan=dict(h["plan"], boundaries=None)),
+         "malformed plan document"),
+        (lambda h: dict(h, plan=dict(h["plan"], fprs=["x"] * len(h["plan"]["fprs"]))),
+         "malformed plan document"),
+    ], ids=["entry-not-object", "no-offset", "no-length", "header-list",
+            "null-boundaries", "text-fprs"])
+    def test_rejects_malformed_header(self, tmp_path, rewrite, message):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        self._rewrite_header(path, rewrite)
+        with pytest.raises(ValidationError, match=message):
             load_filter(path)
 
     def test_rejects_kind_rate_mismatch(self, tmp_path):

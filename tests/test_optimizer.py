@@ -16,6 +16,7 @@ from plbf import (
     SyntheticSpec,
     ValidationError,
     bloom_memory_bits,
+    divergence,
     divergence_table,
     divergence_table_monotone,
     ensure_positive_masses,
@@ -30,6 +31,7 @@ from plbf import (
     zipfian_distribution,
 )
 from plbf.optimizer import FPR_FLOOR
+from plbf.oracle import best_clustering_exhaustive
 
 
 class TestOptimalFprsForFpr:
@@ -323,6 +325,21 @@ class TestSolve:
             assert relaxed.objective >= exact.objective - 1e-9
             assert relaxed.algorithm == "relaxed"
 
+    def test_relaxed_takes_the_best_clustering_of_all_segments(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(4, 13))
+            k = int(rng.integers(2, min(n - 1, 4) + 1))
+            d = random_distribution(rng, n)
+            plan = solve(d, BuildConfig("fpr", n, k, algorithm="relaxed", target_fpr=0.05))
+            bounds = plan.boundaries
+            total = sum(divergence(d, a + 1, b) for a, b in zip(bounds, bounds[1:]))
+            best = max(
+                best_clustering_exhaustive(d, j, k)[0] + divergence(d, j, n)
+                for j in range(k, n + 1)
+            )
+            assert total == pytest.approx(best, rel=1e-9, abs=1e-12), (n, k)
+
     def test_tied_candidates_resolve_to_smallest_final_region_start(self):
         # uniform dyadic masses make every layout score identically
         d = SegmentedDistribution.from_masses(
@@ -372,6 +389,17 @@ class TestSolve:
                 ))
             assert plan.boundaries == (0, 1, 9), algo
 
+    def test_memory_plan_stays_in_budget_when_a_mass_ratio_overflows(self):
+        # G / H of the first region is +inf: it must clamp to rate 1, not
+        # make beta infinite and floor every rate
+        d = SegmentedDistribution.from_masses(
+            [0.0] * 8 + [1.0], [5e-324] + [0.0] * 7 + [1.0], n_keys=1
+        )
+        for algo in ALGORITHMS:
+            plan = solve(d, BuildConfig("memory", 9, 2, algorithm=algo, memory_bits=1.0))
+            assert plan.fprs[0] == 1.0, algo
+            assert bloom_memory_bits(plan.key_mass, plan.fprs, LOG2_E) <= 1.0 + 1e-9, algo
+
     def test_layouts_with_an_empty_region_are_skipped(self):
         # segment 3's non-key mass cancels out of the prefix sums, so a
         # region holding only it has mass exactly 0 and no closed-form rate
@@ -404,14 +432,12 @@ class TestSolve:
         d = random_distribution(np.random.default_rng(9), 12)
         base = dict(framework="fpr", n_segments=12, n_regions=3, target_fpr=0.05)
         full = divergence_table(d, 3)
-        for algo in ("plbf", "fast"):
+        for algo in ("plbf", "fast", "relaxed"):
             table = planning_table(d, BuildConfig(algorithm=algo, **base))
             assert np.array_equal(table.values, full.values)
             assert np.array_equal(table.parents, full.parents)
         table = planning_table(d, BuildConfig(algorithm="fastpp", **base))
         assert np.array_equal(table.values, divergence_table_monotone(d, 3).values)
-        table = planning_table(d, BuildConfig(algorithm="relaxed", **base))
-        assert table.values.shape == (13, 4)
 
     def test_mismatched_segment_count_rejected(self):
         d = random_distribution(np.random.default_rng(4), 10)
@@ -481,3 +507,7 @@ class TestPlanSerialization:
         del data["fprs"]
         with pytest.raises(ValidationError):
             plan_from_dict(data)
+
+    def test_document_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValidationError, match="malformed plan document"):
+            plan_from_dict([plan_to_dict(self._sample_plan())])

@@ -7,6 +7,14 @@ degenerates), and probe ``i`` lands at ``(h1 + i * h2) mod n_bits``.  The
 key for the digest is the filter's seed as 8 little-endian bytes, so two
 filters with different seeds hash the same element independently.
 
+Each filter keys its BLAKE2b state once, when it is made; an element costs
+one copy of that state, one update and one digest.  ``h1`` and ``h2`` are
+reduced mod ``n_bits`` once, and the probes are walked by adding the
+reduced stride and subtracting ``n_bits`` on wrap-around.  Both terms are
+below ``n_bits``, so the walk lands exactly where ``(h1 + i * h2) mod
+n_bits`` does with unbounded integers; fixed-width 64-bit arithmetic on the
+unreduced halves would not.
+
 Byte layout of a serialized filter (all integers little-endian)::
 
     magic   4 bytes  b"PBLM"
@@ -29,6 +37,7 @@ from .errors import ValidationError
 LOG2_E = math.log2(math.e)
 _LN2 = math.log(2.0)
 _HEADER = struct.Struct("<4sHQIQQ")
+_HALVES = struct.Struct("<QQ").unpack  # a 16-byte digest as h1, h2
 _MAGIC = b"PBLM"
 _VERSION = 1
 _MASK64 = (1 << 64) - 1
@@ -59,7 +68,7 @@ def hashes_for(n_keys: int, n_bits: int) -> int:
 class BloomFilter:
     """Fixed-size Bloom filter; never forgets an inserted element."""
 
-    __slots__ = ("n_bits", "n_hashes", "seed", "n_inserted", "_bits")
+    __slots__ = ("n_bits", "n_hashes", "seed", "n_inserted", "_bits", "_hasher")
 
     def __init__(self, n_bits: int, n_hashes: int, seed: int = 0) -> None:
         if n_bits < 1:
@@ -73,6 +82,7 @@ class BloomFilter:
         self.seed = int(seed)
         self.n_inserted = 0
         self._bits = bytearray((n_bits + 7) >> 3)
+        self._hasher = hashlib.blake2b(digest_size=16, key=self.seed.to_bytes(8, "little"))
 
     @classmethod
     def for_capacity(cls, n_keys: int, fpr: float, seed: int = 0) -> "BloomFilter":
@@ -84,29 +94,37 @@ class BloomFilter:
             )
         return cls(m, hashes_for(n_keys, m), seed)
 
-    def _probes(self, element_id: bytes | str):
+    def _first_and_step(self, element_id: bytes | str) -> tuple[int, int]:
+        """First probe position and stride of an element, both reduced mod ``n_bits``."""
         if isinstance(element_id, str):
             element_id = element_id.encode("utf-8")
-        digest = hashlib.blake2b(
-            element_id, digest_size=16, key=self.seed.to_bytes(8, "little")
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
+        hasher = self._hasher.copy()
+        hasher.update(element_id)
+        h1, h2 = _HALVES(hasher.digest())
         m = self.n_bits
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % m
+        return h1 % m, (h2 | 1) % m
 
     def insert(self, element_id: bytes | str) -> None:
         bits = self._bits
-        for pos in self._probes(element_id):
+        m = self.n_bits
+        pos, step = self._first_and_step(element_id)
+        for _ in range(self.n_hashes):
             bits[pos >> 3] |= 1 << (pos & 7)
+            pos += step
+            if pos >= m:
+                pos -= m
         self.n_inserted += 1
 
     def contains(self, element_id: bytes | str) -> bool:
         bits = self._bits
-        for pos in self._probes(element_id):
+        m = self.n_bits
+        pos, step = self._first_and_step(element_id)
+        for _ in range(self.n_hashes):
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
+            pos += step
+            if pos >= m:
+                pos -= m
         return True
 
     def to_bytes(self) -> bytes:
@@ -133,6 +151,10 @@ class BloomFilter:
         filt.n_inserted = count
         filt._bits[:] = blob[_HEADER.size:]
         return filt
+
+    def __reduce__(self):
+        # the keyed hasher cannot be pickled; the bytes rebuild it
+        return BloomFilter.from_bytes, (self.to_bytes(),)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):

@@ -162,9 +162,10 @@ def cmd_query(args) -> int:
     if not records:
         raise ValidationError(f"query file {args.data} has no records")
     keys = key_positives = nonkeys = nonkey_positives = 0
+    write = sys.stdout.write
     for rec in records:
         answer = filt.query(rec.element_id, rec.score)
-        print(f"{rec.element_id},{'true' if answer else 'false'}")
+        write(f"{rec.element_id},{'true' if answer else 'false'}\n")
         if rec.is_key:
             keys += 1
             key_positives += answer

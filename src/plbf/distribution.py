@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,24 +116,26 @@ def _build(n_segments: int, g: np.ndarray, h: np.ndarray, n_keys: int) -> Segmen
 def segment_scores(records, n_segments: int) -> SegmentedDistribution:
     """Bin scored records into ``n_segments`` equal-width histograms.
 
-    Raises a validation error for scores outside [0, 1] (naming the record),
-    and distinct errors when the key side or the non-key side is empty.
+    Raises a validation error for scores outside [0, 1] (naming the first
+    such record), and distinct errors when the key side or the non-key side
+    is empty.  The bins are :func:`segment_index`'s: truncating
+    ``score * n_segments`` as an int64 is ``int()`` on [0, 1], and 1 folds
+    into the last bin.
     """
     if n_segments < 2:
         raise ValidationError("n_segments must be at least 2")
-    key_counts = np.zeros(n_segments, dtype=np.int64)
-    nonkey_counts = np.zeros(n_segments, dtype=np.int64)
-    for rec in records:
-        s = rec.score
-        if not (0.0 <= s <= 1.0):
-            raise ValidationError(
-                f"record {rec.element_id!r} has score {s!r} outside [0, 1]"
-            )
-        idx = segment_index(s, n_segments)
-        if rec.is_key:
-            key_counts[idx] += 1
-        else:
-            nonkey_counts[idx] += 1
+    records = list(records)
+    scores = np.fromiter(map(attrgetter("score"), records), np.float64, len(records))
+    is_key = np.fromiter(map(attrgetter("is_key"), records), np.bool_, len(records))
+    outside = ~((scores >= 0.0) & (scores <= 1.0))  # NaN is outside too
+    if outside.any():
+        rec = records[int(outside.argmax())]
+        raise ValidationError(
+            f"record {rec.element_id!r} has score {rec.score!r} outside [0, 1]"
+        )
+    bins = np.minimum((scores * n_segments).astype(np.int64), n_segments - 1)
+    counts = np.bincount(bins + n_segments * is_key, minlength=2 * n_segments)
+    nonkey_counts, key_counts = counts[:n_segments], counts[n_segments:]
     n_keys = int(key_counts.sum())
     n_nonkeys = int(nonkey_counts.sum())
     if n_keys == 0:

@@ -305,5 +305,5 @@ def write_table_csv(table: DPTable, path) -> None:
         for p in range(table.n_rows):
             for q in range(table.n_cols):
                 fh.write(
-                    f"{p},{q},{table.values[p, q]!r},{int(table.parents[p, q])}\n"
+                    f"{p},{q},{float(table.values[p, q])!r},{int(table.parents[p, q])}\n"
                 )

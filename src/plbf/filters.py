@@ -1,7 +1,9 @@
 """Region-partitioned filter: one backing Bloom filter per planned region.
 
 A query maps its score to a segment, the segment to a region, and asks that
-region's filter about the element.  Regions whose planned rate is 1 store
+region's filter about the element.  The segment-to-region map is one table,
+built once per filter from the plan's boundaries; ``build_filter`` routes
+keys through the same table.  Regions whose planned rate is 1 store
 nothing and answer true; regions that received no keys store nothing and
 answer false.  Keys always answer true: they were inserted into the filter
 of the region their score falls in, and Bloom filters have no false
@@ -12,10 +14,9 @@ from __future__ import annotations
 
 import json
 import struct
-from bisect import bisect_right
+from array import array
 
 from .bloom import BloomFilter, bits_for, hashes_for
-from .distribution import segment_index
 from .errors import ValidationError
 from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
 
@@ -24,11 +25,34 @@ _VERSION = 1
 _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
+# The region table holds a byte or four per segment; this caps it at 64 MB
+# however large a number of segments a plan, or a crafted file, claims.
+MAX_SEGMENTS = 1 << 24
 
 
 def region_seed(seed: int, region: int) -> int:
     """Per-region hash seed: distinct regions must probe independently."""
     return (seed ^ ((region + 1) * _SEED_STRIDE)) & _MASK64
+
+
+def _region_table(plan: RegionPlan) -> array:
+    """Region of each segment, indexed by ``int(score * n_segments)``.
+
+    For ``0 <= score <= 1`` the product lies in ``[0, n_segments]``.  Entry
+    ``n_segments`` repeats the last region, so a product that reaches
+    ``n_segments`` (a score of 1, or one that rounds up to it) lands where
+    ``segment_index`` clamps it: in the last segment.
+    """
+    if plan.n_segments > MAX_SEGMENTS:
+        raise ValidationError(
+            f"plan has {plan.n_segments} segments, more than {MAX_SEGMENTS}"
+        )
+    table = array("B" if plan.n_regions <= 256 else "I")
+    bounds = plan.boundaries
+    for r in range(plan.n_regions):
+        table.extend(array(table.typecode, [r]) * (bounds[r + 1] - bounds[r]))
+    table.append(plan.n_regions - 1)
+    return table
 
 
 class PlbfFilter:
@@ -38,7 +62,7 @@ class PlbfFilter:
     that stores nothing (rate-1 regions answer true, keyless ones false).
     """
 
-    __slots__ = ("plan", "seed", "region_filters")
+    __slots__ = ("plan", "seed", "region_filters", "_regions", "_n_segments")
 
     def __init__(
         self,
@@ -60,10 +84,8 @@ class PlbfFilter:
         self.plan = plan
         self.seed = int(seed)
         self.region_filters = tuple(region_filters)
-
-    @property
-    def n_segments(self) -> int:
-        return self.plan.n_segments
+        self._regions = _region_table(plan)
+        self._n_segments = plan.n_segments
 
     @property
     def total_bits(self) -> int:
@@ -73,8 +95,7 @@ class PlbfFilter:
     def region_of(self, score: float) -> int:
         if not (0.0 <= score <= 1.0):
             raise ValidationError(f"score must lie in [0, 1], got {score!r}")
-        seg = segment_index(score, self.n_segments)
-        return bisect_right(self.plan.boundaries, seg) - 1
+        return self._regions[int(score * self._n_segments)]
 
     def query(self, element_id: bytes | str, score: float) -> bool:
         region = self.region_of(score)
@@ -112,7 +133,7 @@ class PlbfFilter:
             blobs.append(blob)
             offset += len(blob)
         header = {
-            "n_segments": self.n_segments,
+            "n_segments": self.plan.n_segments,
             "seed": self.seed,
             "algorithm": self.plan.algorithm,
             "plan": plan_to_dict(self.plan),
@@ -149,7 +170,7 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
     sized from its group and filled with it.  Every record must be a key;
     non-keys only ever inform the plan.
     """
-    boundaries = plan.boundaries
+    regions = _region_table(plan)
     n = plan.n_segments
     groups: list[list] = [[] for _ in range(plan.n_regions)]
     for rec in records:
@@ -162,8 +183,7 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
                 f"score must lie in [0, 1], got {rec.score!r} "
                 f"for {rec.element_id!r}"
             )
-        home = bisect_right(boundaries, segment_index(rec.score, n)) - 1
-        groups[home].append(rec.element_id)
+        groups[regions[int(rec.score * n)]].append(rec.element_id)
     filters: list[BloomFilter | None] = []
     for r, ids in enumerate(groups):
         if plan.fprs[r] >= 1.0 or not ids:
@@ -203,7 +223,7 @@ def load_filter(path) -> PlbfFilter:
     if not isinstance(header, dict):
         raise ValidationError("filter header is not a JSON object")
     try:
-        plan_doc, algorithm = header["plan"], str(header["algorithm"])
+        plan_doc, algorithm = header["plan"], header["algorithm"]
         seed = int(header["seed"])
         n_segments = int(header["n_segments"])
         entries = header["regions"]
@@ -211,6 +231,8 @@ def load_filter(path) -> PlbfFilter:
         raise ValidationError(f"filter header missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed filter header: {exc}") from exc
+    if not isinstance(algorithm, str):
+        raise ValidationError(f"filter header algorithm must be a string, got {algorithm!r}")
     plan = plan_from_dict(plan_doc, algorithm=algorithm)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError("filter header regions must be a list of objects")

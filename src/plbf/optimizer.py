@@ -412,7 +412,12 @@ def plan_to_dict(plan: RegionPlan) -> dict:
 
 
 def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
-    """Rebuild a plan from :func:`plan_to_dict` output."""
+    """Rebuild a plan from :func:`plan_to_dict` output.
+
+    The document must be one :func:`plan_to_dict` could have written: its
+    ``n_segments`` and ``thresholds`` agree with its boundaries, and its
+    objective is finite and nonnegative.
+    """
     try:
         fields = dict(
             n_regions=int(data["n_regions"]),
@@ -423,8 +428,21 @@ def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
             objective=float(data["objective"]),
             framework=str(data["framework"]),
         )
+        n_segments = int(data["n_segments"])
+        thresholds = [float(t) for t in data["thresholds"]]
     except KeyError as exc:
         raise ValidationError(f"plan document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed plan document: {exc}") from exc
-    return RegionPlan(**fields, algorithm=algorithm)
+    plan = RegionPlan(**fields, algorithm=algorithm)
+    if not (0.0 <= plan.objective < inf):
+        raise ValidationError(
+            f"plan objective must be finite and nonnegative, got {plan.objective!r}"
+        )
+    if n_segments != plan.n_segments:
+        raise ValidationError(
+            f"plan says {n_segments} segments, its boundaries end at {plan.n_segments}"
+        )
+    if thresholds != plan_to_dict(plan)["thresholds"]:
+        raise ValidationError("plan thresholds disagree with boundaries / n_segments")
+    return plan

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +115,14 @@ class TestSerialization:
         assert again.to_bytes() == filt.to_bytes()
         assert all(again.contains(f"k{i}") for i in range(500))
 
+    def test_pickle_and_deepcopy_round_trip(self):
+        filt = BloomFilter.for_capacity(50, 0.05, seed=4)
+        for i in range(50):
+            filt.insert(f"k{i}")
+        for again in (pickle.loads(pickle.dumps(filt)), copy.deepcopy(filt)):
+            assert again == filt
+            assert all(again.contains(f"k{i}") for i in range(50))
+
     def test_rejects_bad_magic(self):
         blob = bytearray(BloomFilter(8, 1).to_bytes())
         blob[:4] = b"NOPE"
@@ -137,20 +148,63 @@ class TestSerialization:
             BloomFilter.from_bytes(bytes(blob))
 
 
+def probes(filt, element_id):
+    """Probe positions, from the first probe and stride the filter derives."""
+    first, step = filt._first_and_step(element_id)
+    return [(first + i * step) % filt.n_bits for i in range(filt.n_hashes)]
+
+
+def reference_probes(element_id, seed, m, k):
+    """``(h1 + i * h2) mod m`` in unbounded integers, from the keyed digest."""
+    digest = hashlib.blake2b(
+        element_id.encode("utf-8"), digest_size=16, key=seed.to_bytes(8, "little")
+    ).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    return [(h1 + i * h2) % m for i in range(k)]
+
+
 class TestProbeDistribution:
     def test_probe_positions_cover_the_array(self):
         # double hashing must not degenerate to a few fixed cells
         filt = BloomFilter(101, 5, seed=11)
         seen = set()
         for i in range(200):
-            seen.update(filt._probes(f"item-{i}"))
+            seen.update(probes(filt, f"item-{i}"))
         assert len(seen) > 95
 
     def test_rng_independence_from_numpy_state(self):
         # hashing is keyed BLAKE2b; global RNG state must not matter
         filt = BloomFilter(128, 3, seed=5)
         np.random.seed(0)
-        first = list(filt._probes("stable"))
+        first = probes(filt, "stable")
         np.random.seed(12345)
-        second = list(filt._probes("stable"))
+        second = probes(filt, "stable")
         assert first == second
+
+
+class TestProbeWalk:
+    """insert and contains walk exactly the probes of (h1 + i * h2) mod m."""
+
+    IDS = ("k00000000", "q00000017", "h00123456", "élan", "")
+
+    @pytest.mark.parametrize("m", [8, 101, 1 << 16, 10**7 + 19])
+    def test_first_and_step_give_the_reference_probes(self, m):
+        for seed in (0, 7, (1 << 64) - 1):
+            for element_id in self.IDS:
+                filt = BloomFilter(m, 30, seed=seed)
+                assert probes(filt, element_id) == reference_probes(element_id, seed, m, 30)
+
+    @pytest.mark.parametrize("m", [8, 101, 1 << 16, 10**7 + 19])
+    def test_insert_and_contains_walk_the_reference_probes(self, m):
+        for k in (1, 2, 7, 30):
+            for element_id in self.IDS:
+                filt = BloomFilter(m, k, seed=3)
+                filt.insert(element_id)
+                expected = set(reference_probes(element_id, 3, m, k))
+                assert int.from_bytes(filt._bits, "little").bit_count() == len(expected)
+                assert filt.contains(element_id)
+                for p in expected:
+                    filt._bits[p >> 3] ^= 1 << (p & 7)  # a clear bit must decide the answer
+                    assert not filt.contains(element_id)
+                    filt._bits[p >> 3] ^= 1 << (p & 7)

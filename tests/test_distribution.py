@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ class TestSegmentScores:
         bad = [ScoreRecord("a", 1.5, True), ScoreRecord("x", 0.5, False)]
         with pytest.raises(ValidationError):
             segment_scores(bad, 4)
+
+    @pytest.mark.parametrize("score", [float("nan"), -0.0001, 1.0000001, float("inf")])
+    def test_names_the_first_record_out_of_range(self, score):
+        records = [ScoreRecord("a", 0.5, True), ScoreRecord("bad", score, False),
+                   ScoreRecord("worse", 2.0, False)]
+        with pytest.raises(ValidationError, match=f"record 'bad' has score {score!r}"):
+            segment_scores(iter(records), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 7, 1000, 4099])
+    def test_counts_equal_the_per_record_loop_at_bin_edges(self, n):
+        scores = [1.0, math.nextafter(1.0, 0.0)]
+        for seg in range(n):
+            scores += [seg / n, math.nextafter(seg / n, 0.0)]
+        records = [ScoreRecord(f"r{i}", s, i % 3 != 0) for i, s in enumerate(scores)]
+        key_counts = [0] * n
+        nonkey_counts = [0] * n
+        for rec in records:
+            counts = key_counts if rec.is_key else nonkey_counts
+            counts[segment_index(rec.score, n)] += 1
+        d = segment_scores((rec for rec in records), n)
+        assert d.n_keys == sum(key_counts)
+        assert d.g.tolist() == [c / sum(key_counts) for c in key_counts]
+        assert d.h.tolist() == [c / sum(nonkey_counts) for c in nonkey_counts]
 
 
 class TestIsIdeal:

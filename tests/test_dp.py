@@ -246,3 +246,12 @@ class TestTableCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "prefix,regions,value,parent"
         assert len(lines) == 1 + table.n_rows * table.n_cols
+
+    def test_every_cell_is_a_plain_number(self, tmp_path):
+        table = divergence_table(dyadic_dist(), 2)
+        path = tmp_path / "table.csv"
+        write_table_csv(table, path)
+        for line in path.read_text().splitlines()[1:]:
+            p, q, value, parent = line.split(",")
+            assert float(value) == table.values[int(p), int(q)]
+            assert int(parent) == table.parents[int(p), int(q)]

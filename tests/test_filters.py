@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from plbf import (
     segment_index,
     solve,
 )
+from plbf.filters import MAX_SEGMENTS
 
 _PREFIX = struct.Struct("<4sHI")
 
@@ -54,6 +57,21 @@ def solved_filter(seed=0):
 
 def _drop(entry, field):
     return {k: v for k, v in entry.items() if k != field}
+
+
+def _with_plan(header, **fields):
+    return dict(header, plan=dict(header["plan"], **fields))
+
+
+def _claim_segments(n):
+    """A header rewrite that stretches the last region to end at segment ``n``."""
+    def rewrite(header):
+        bounds = header["plan"]["boundaries"][:-1] + [n]
+        return dict(_with_plan(
+            header, boundaries=bounds, n_segments=n, thresholds=[b / n for b in bounds],
+        ), n_segments=n)
+
+    return rewrite
 
 
 class TestBuildFilter:
@@ -123,6 +141,31 @@ class TestQueryRouting:
         for bad in (-0.01, 1.01, float("nan")):
             with pytest.raises(ValidationError):
                 filt.query("x", bad)
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (20, 4), (1000, 5), (997, 13), (600, 300)])
+    def test_region_of_is_bisect_of_segment_index(self, n, k):
+        rng = np.random.default_rng(n * 1000 + k)
+        for _ in range(5):
+            inner = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
+            bounds = (0, *inner, n)
+            plan = make_plan(
+                n_regions=k, boundaries=bounds, fprs=(0.5,) * k,
+                key_mass=(1 / k,) * k, nonkey_mass=(1 / k,) * k,
+            )
+            filt = PlbfFilter(plan, (None,) * k)
+            scores = [1.0, math.nextafter(1.0, 0.0)]
+            for seg in range(n):
+                edge = seg / n
+                scores += [edge, math.nextafter(edge, 0.0), (seg + 0.5) / n]
+            for score in scores:
+                expect = bisect_right(bounds, segment_index(score, n)) - 1
+                assert filt.region_of(score) == expect, score
+
+    def test_rejects_plans_beyond_the_segment_cap(self):
+        plan = make_plan(boundaries=(0, 2, MAX_SEGMENTS + 1))
+        with pytest.raises(ValidationError, match="more than"):
+            PlbfFilter(plan, (None, None))
+        PlbfFilter(make_plan(boundaries=(0, 2, MAX_SEGMENTS)), (None, None))
 
 
 class TestMeasureFpr:
@@ -255,8 +298,15 @@ class TestSaveLoad:
          "malformed plan document"),
         (lambda h: dict(h, plan=dict(h["plan"], fprs=["x"] * len(h["plan"]["fprs"]))),
          "malformed plan document"),
+        (lambda h: _with_plan(h, objective=float("nan")), "objective"),
+        (lambda h: _with_plan(h, objective=-1.0), "objective"),
+        (lambda h: dict(h, algorithm=None), "algorithm"),
+        (lambda h: _with_plan(h, thresholds=h["plan"]["thresholds"][::-1]), "thresholds"),
+        (lambda h: _with_plan(h, n_segments=h["plan"]["n_segments"] + 1), "21 segments"),
+        (_claim_segments(1 << 40), "more than"),
     ], ids=["entry-not-object", "no-offset", "no-length", "header-list",
-            "null-boundaries", "text-fprs"])
+            "null-boundaries", "text-fprs", "nan-objective", "negative-objective",
+            "null-algorithm", "stray-thresholds", "stray-n-segments", "huge-n-segments"])
     def test_rejects_malformed_header(self, tmp_path, rewrite, message):
         filt, _, _ = solved_filter()
         path = tmp_path / "f.plbf"

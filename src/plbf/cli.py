@@ -60,14 +60,20 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _comma_list(text: str, flag: str, convert=int) -> list:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ValidationError(f"{flag} needs at least one value")
     try:
-        return [int(piece) for piece in items]
-    except ValueError:
-        raise ValidationError(f"{flag} must be a comma-separated list of integers")
+        return [convert(piece) for piece in items]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
+def _algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return name
 
 
 def _budget(args) -> tuple[float | None, float | None]:
@@ -165,7 +171,11 @@ def cmd_query(args) -> int:
     write = sys.stdout.write
     for rec in records:
         answer = filt.query(rec.element_id, rec.score)
-        write(f"{rec.element_id},{'true' if answer else 'false'}\n")
+        ident = rec.element_id
+        if "," in ident or '"' in ident or "\n" in ident or "\r" in ident:
+            # quoted as csv.writer quotes it, so the line parses back
+            ident = '"' + ident.replace('"', '""') + '"'
+        write(f"{ident},{'true' if answer else 'false'}\n")
         if rec.is_key:
             keys += 1
             key_positives += answer
@@ -186,14 +196,9 @@ def cmd_bench(args) -> int:
     target_fpr, memory_bits = _budget(args)
     if args.repeat < 3:
         raise ValidationError("--repeat must be at least 3 for a stable median")
-    algorithms = [piece.strip() for piece in args.algorithms.split(",") if piece.strip()]
-    if not algorithms:
-        raise ValidationError("--algorithms needs at least one value")
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {algo!r}")
-    segment_counts = _int_list(args.segments, "--segments")
-    region_counts = _int_list(args.regions, "--regions")
+    algorithms = _comma_list(args.algorithms, "--algorithms", _algorithm)
+    segment_counts = _comma_list(args.segments, "--segments")
+    region_counts = _comma_list(args.regions, "--regions")
     records = read_records_csv(args.data)
     keys = [rec for rec in records if rec.is_key]
     nonkeys = [rec for rec in records if not rec.is_key]

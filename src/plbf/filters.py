@@ -35,6 +35,10 @@ def region_seed(seed: int, region: int) -> int:
     return (seed ^ ((region + 1) * _SEED_STRIDE)) & _MASK64
 
 
+def _empty_kind(rate: float) -> str:
+    return "always_true" if rate >= 1.0 else "always_false"
+
+
 def _region_table(plan: RegionPlan) -> array:
     """Region of each segment, indexed by ``int(score * n_segments)``.
 
@@ -119,17 +123,17 @@ class PlbfFilter:
             raise ValidationError("measure_fpr needs at least one record")
         return positives / total
 
-    def save(self, path) -> None:
-        kinds = []
+    def _encode(self) -> tuple[bytes, list[bytes]]:
+        """The JSON header and the region blobs that :meth:`save` writes."""
+        regions = []
         blobs = []
         offset = 0
-        for r, filt in enumerate(self.region_filters):
+        for rate, filt in zip(self.plan.fprs, self.region_filters):
             if filt is None:
-                kind = "always_true" if self.plan.fprs[r] >= 1.0 else "always_false"
-                kinds.append({"kind": kind, "offset": 0, "length": 0})
+                regions.append({"kind": _empty_kind(rate), "offset": 0, "length": 0})
                 continue
             blob = filt.to_bytes()
-            kinds.append({"kind": "bloom", "offset": offset, "length": len(blob)})
+            regions.append({"kind": "bloom", "offset": offset, "length": len(blob)})
             blobs.append(blob)
             offset += len(blob)
         header = {
@@ -137,14 +141,16 @@ class PlbfFilter:
             "seed": self.seed,
             "algorithm": self.plan.algorithm,
             "plan": plan_to_dict(self.plan),
-            "regions": kinds,
+            "regions": regions,
         }
-        payload = json.dumps(header, sort_keys=True).encode("utf-8")
+        return json.dumps(header, sort_keys=True).encode("utf-8"), blobs
+
+    def save(self, path) -> None:
+        header, blobs = self._encode()
         with open(path, "wb") as fh:
-            fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(payload)))
-            fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+            fh.write(header)
+            fh.writelines(blobs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlbfFilter):
@@ -199,10 +205,12 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
 def load_filter(path) -> PlbfFilter:
     """Read a filter written by :meth:`PlbfFilter.save`.
 
-    Accepts only what ``save`` writes for a filter ``build_filter`` made: the
-    region blobs lie end to end in region order and fill the blob section
-    exactly, and each blob carries its region's seed and the bit and hash
-    counts ``build_filter`` derives from its key count and planned rate.
+    Accepts only a file that saving the loaded filter again reproduces byte
+    for byte: the header must be the one ``save`` writes for the plan, seed
+    and region filters it describes, and the region blobs lie end to end in
+    region order and fill the blob section exactly.  Each blob must also
+    carry its region's seed and the bit and hash counts ``build_filter``
+    derives from its key count and planned rate.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -225,7 +233,6 @@ def load_filter(path) -> PlbfFilter:
     try:
         plan_doc, algorithm = header["plan"], header["algorithm"]
         seed = int(header["seed"])
-        n_segments = int(header["n_segments"])
         entries = header["regions"]
     except KeyError as exc:
         raise ValidationError(f"filter header missing field {exc}") from exc
@@ -236,51 +243,40 @@ def load_filter(path) -> PlbfFilter:
     plan = plan_from_dict(plan_doc, algorithm=algorithm)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError("filter header regions must be a list of objects")
-    if n_segments != plan.n_segments:
-        raise ValidationError(
-            f"header says {n_segments} segments, plan says {plan.n_segments}"
-        )
-    if len(entries) != plan.n_regions:
-        raise ValidationError(
-            f"expected {plan.n_regions} region entries, got {len(entries)}"
-        )
     blob_section = body[header_len:]
     filters: list[BloomFilter | None] = []
     blob_end = 0
-    for r, entry in enumerate(entries):
+    for r, (entry, rate) in enumerate(zip(entries, plan.fprs)):
         kind = entry.get("kind")
-        if kind == "always_true":
-            if plan.fprs[r] < 1.0:
-                raise ValidationError(f"region {r} marked always_true but rate < 1")
+        if kind != "bloom":
+            if kind != _empty_kind(rate):
+                raise ValidationError(f"region {r} has kind {kind!r} but rate {rate!r}")
             filters.append(None)
-        elif kind == "always_false":
-            if plan.fprs[r] >= 1.0:
-                raise ValidationError(f"region {r} marked always_false but rate is 1")
-            filters.append(None)
-        elif kind == "bloom":
-            try:
-                off, length = int(entry["offset"]), int(entry["length"])
-            except KeyError as exc:
-                raise ValidationError(f"region {r} entry missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"region {r} has a malformed blob range: {exc}") from exc
-            if off != blob_end:
-                raise ValidationError(
-                    f"region {r} blob starts at {off}, expected {blob_end}"
-                )
-            if not (0 <= length <= len(blob_section) - off):
-                raise ValidationError(f"region {r} blob range out of bounds")
-            blob_end = off + length
-            filt = BloomFilter.from_bytes(bytes(blob_section[off:blob_end]))
-            _check_region_filter(filt, r, region_seed(seed, r), plan.fprs[r])
-            filters.append(filt)
-        else:
-            raise ValidationError(f"region {r} has unknown kind {kind!r}")
+            continue
+        try:
+            off, length = int(entry["offset"]), int(entry["length"])
+        except KeyError as exc:
+            raise ValidationError(f"region {r} entry missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"region {r} has a malformed blob range: {exc}") from exc
+        if off != blob_end:
+            raise ValidationError(
+                f"region {r} blob starts at {off}, expected {blob_end}"
+            )
+        if not (0 <= length <= len(blob_section) - off):
+            raise ValidationError(f"region {r} blob range out of bounds")
+        blob_end = off + length
+        filt = BloomFilter.from_bytes(bytes(blob_section[off:blob_end]))
+        _check_region_filter(filt, r, region_seed(seed, r), rate)
+        filters.append(filt)
     if blob_end != len(blob_section):
         raise ValidationError(
             f"{len(blob_section) - blob_end} trailing bytes after the last region blob"
         )
-    return PlbfFilter(plan, tuple(filters), seed)
+    filt = PlbfFilter(plan, tuple(filters), seed)
+    if filt._encode()[0] != body[:header_len]:
+        raise ValidationError("filter header is not the one saving its filter writes")
+    return filt
 
 
 def _check_region_filter(filt: BloomFilter, r: int, seed: int, fpr: float) -> None:

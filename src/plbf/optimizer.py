@@ -21,6 +21,7 @@ smallest final-region start on ties, so results are deterministic.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from math import inf, log2
@@ -60,9 +61,9 @@ class RegionPlan:
     at 0 and ending at the segment total; region r covers 0-based segments
     ``boundaries[r] .. boundaries[r+1] - 1``.  ``objective`` is total filter
     memory in bits under the ``fpr`` framework and expected false-positive
-    rate under ``memory``.  A rate of exactly 1.0 marks a region that stores
-    nothing and answers true; clamping inside the rate optimizers is the only
-    way a region earns it.
+    rate under ``memory``; it and the masses are finite and nonnegative.  A
+    rate of exactly 1.0 marks a region that stores nothing and answers true;
+    clamping inside the rate optimizers is the only way a region earns it.
     """
 
     n_regions: int
@@ -85,12 +86,18 @@ class RegionPlan:
         for name, masses in (("key_mass", self.key_mass), ("nonkey_mass", self.nonkey_mass)):
             if len(masses) != k:
                 raise ValidationError(f"{name} must have one entry per region")
+            if not all(0.0 <= x < inf for x in masses):
+                raise ValidationError(f"{name} must be finite and nonnegative")
             if abs(sum(masses) - 1.0) > 1e-6:
                 raise ValidationError(f"{name} must sum to 1")
         if len(self.fprs) != k:
             raise ValidationError("fprs must have one entry per region")
         if any(not (0.0 < f <= 1.0) for f in self.fprs):
             raise ValidationError("every region rate must lie in (0, 1]")
+        if not (0.0 <= self.objective < inf):
+            raise ValidationError(
+                f"plan objective must be finite and nonnegative, got {self.objective!r}"
+            )
         if self.framework not in FRAMEWORKS:
             raise ValidationError(f"unknown framework {self.framework!r}")
 
@@ -351,7 +358,7 @@ def solve_timed(
         # the rate cap; clamping still applies to the rates after
         values = table.values[:, k - 1].tolist()
         starts = [max(starts, key=lambda j: values[j - 1] + divergence(dist, j, n))]
-    candidates = []
+    best = None
     for j in starts:
         if per_start:
             t0 = time.perf_counter()
@@ -359,11 +366,7 @@ def solve_timed(
             dp_seconds += time.perf_counter() - t0
         if table.values[j - 1, k - 1] == float("-inf"):
             continue  # this start is unreachable for the approximate table
-        ends = trace_boundaries(table, j, k)
-        candidates.append(tuple([0] + ends + [n]))
-
-    best = None
-    for bounds in candidates:
+        bounds = tuple([0] + trace_boundaries(table, j, k) + [n])
         key_mass = [gp[b] - gp[a] for a, b in zip(bounds, bounds[1:])]
         nonkey_mass = [hp[b] - hp[a] for a, b in zip(bounds, bounds[1:])]
         if 0.0 in key_mass or 0.0 in nonkey_mass:
@@ -393,30 +396,33 @@ def solve_timed(
 def plan_to_dict(plan: RegionPlan) -> dict:
     """JSON-ready view of a plan.
 
+    Counts are JSON integers and every other number a JSON real, whatever
+    types the plan holds, so :func:`plan_from_dict` reads back an equal plan.
     Thresholds are also given as score-space reals (boundary / n_segments).
     Algorithm and timing are envelope concerns: two algorithms returning the
     same plan serialize identically here.
     """
-    n = plan.n_segments
+    n = int(plan.n_segments)
     return {
         "framework": plan.framework,
-        "n_regions": plan.n_regions,
+        "n_regions": int(plan.n_regions),
         "n_segments": n,
-        "boundaries": list(plan.boundaries),
+        "boundaries": [int(b) for b in plan.boundaries],
         "thresholds": [b / n for b in plan.boundaries],
-        "fprs": list(plan.fprs),
-        "key_mass": list(plan.key_mass),
-        "nonkey_mass": list(plan.nonkey_mass),
-        "objective": plan.objective,
+        "fprs": [float(f) for f in plan.fprs],
+        "key_mass": [float(x) for x in plan.key_mass],
+        "nonkey_mass": [float(x) for x in plan.nonkey_mass],
+        "objective": float(plan.objective),
     }
 
 
 def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
     """Rebuild a plan from :func:`plan_to_dict` output.
 
-    The document must be one :func:`plan_to_dict` could have written: its
-    ``n_segments`` and ``thresholds`` agree with its boundaries, and its
-    objective is finite and nonnegative.
+    The document must be exactly what :func:`plan_to_dict` writes for the
+    plan it describes: re-encoding the rebuilt plan gives the same JSON, so
+    every field has the type ``plan_to_dict`` writes, ``n_segments`` and
+    ``thresholds`` agree with the boundaries, and no other field appears.
     """
     try:
         fields = dict(
@@ -428,21 +434,20 @@ def plan_from_dict(data: dict, algorithm: str = "unknown") -> RegionPlan:
             objective=float(data["objective"]),
             framework=str(data["framework"]),
         )
-        n_segments = int(data["n_segments"])
-        thresholds = [float(t) for t in data["thresholds"]]
+        n_segments, thresholds = data["n_segments"], data["thresholds"]
+        encoded = json.dumps(data, sort_keys=True)
     except KeyError as exc:
         raise ValidationError(f"plan document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed plan document: {exc}") from exc
     plan = RegionPlan(**fields, algorithm=algorithm)
-    if not (0.0 <= plan.objective < inf):
-        raise ValidationError(
-            f"plan objective must be finite and nonnegative, got {plan.objective!r}"
-        )
     if n_segments != plan.n_segments:
         raise ValidationError(
             f"plan says {n_segments} segments, its boundaries end at {plan.n_segments}"
         )
-    if thresholds != plan_to_dict(plan)["thresholds"]:
+    written = plan_to_dict(plan)
+    if thresholds != written["thresholds"]:
         raise ValidationError("plan thresholds disagree with boundaries / n_segments")
+    if encoded != json.dumps(written, sort_keys=True):
+        raise ValidationError("plan document is not what plan_to_dict writes for its plan")
     return plan

@@ -104,16 +104,9 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
 
     Mirrors the solver's selection rule (minimize the framework objective,
     ties to the smallest final-region start) but never touches the DP tables.
+    The size caps are those of :func:`best_clustering_exhaustive`.
     """
     n, k = dist.n_segments, config.n_regions
-    if n > MAX_ORACLE_SEGMENTS:
-        raise ValidationError(
-            f"exhaustive planning is capped at {MAX_ORACLE_SEGMENTS} segments"
-        )
-    if k > MAX_ORACLE_REGIONS:
-        raise ValidationError(
-            f"exhaustive planning is capped at {MAX_ORACLE_REGIONS} regions"
-        )
     config.require_matching(dist)
     dist = ensure_positive_masses(dist)
     scaled = config.effective_scaled_keys(dist)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import struct
@@ -8,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import plbf.cli as cli
-from plbf import InfeasibleError, is_ideal, read_records_csv, segment_scores
+from plbf import (
+    InfeasibleError,
+    ScoreRecord,
+    is_ideal,
+    read_records_csv,
+    segment_scores,
+    write_records_csv,
+)
 
 
 def run(*argv):
@@ -222,6 +231,19 @@ class TestQuery:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert summary.startswith("# queried=2000")
         assert "nonkey_fpr=" in summary
+
+    def test_ids_that_need_quoting_parse_back(self, tmp_path, capsys):
+        _, filt = self._built(tmp_path)
+        ids = ['a,"b"', '"', "two\nlines", "cr\r", "plain"]
+        probes = tmp_path / "probes.csv"
+        write_records_csv(probes, [ScoreRecord(i, 0.5, False) for i in ids])
+        capsys.readouterr()
+        assert run("query", "--filter", str(filt), "--data", str(probes)) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))[:-1]
+        assert [row[0] for row in rows] == ids
+        assert all(len(row) == 2 and row[1] in ("true", "false") for row in rows)
+        assert "\nplain," in out
 
     def test_empty_query_file_exits_one(self, tmp_path, capsys):
         _, filt = self._built(tmp_path)

@@ -63,6 +63,40 @@ def _with_plan(header, **fields):
     return dict(header, plan=dict(header["plan"], **fields))
 
 
+def _retype_blob(header, field, convert):
+    """``header`` with ``field`` of the first stored region's entry converted."""
+    regions = [dict(e) for e in header["regions"]]
+    entry = next(e for e in regions if e["kind"] == "bloom")
+    entry[field] = convert(entry[field])
+    return dict(header, regions=regions)
+
+
+def _scalars(node, path=()):
+    """``(path, value)`` of every scalar in a JSON document, nested ones included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _scalars(value, path + (key,))
+    else:
+        yield path, node
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def _retyped(value):
+    """A bool, null, and a string or number of the other type in place of ``value``."""
+    if isinstance(value, str):
+        return [True, None, 1]
+    other = float(value) if isinstance(value, int) else int(value)
+    return [True, None, str(value), other]
+
+
 def _claim_segments(n):
     """A header rewrite that stretches the last region to end at segment ``n``."""
     def rewrite(header):
@@ -235,6 +269,18 @@ class TestSaveLoad:
         load_filter(a).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_plan_of_other_numeric_types_round_trips(self, tmp_path):
+        plan = make_plan(
+            boundaries=(0, np.int64(2), 4), fprs=(0.5, 1), key_mass=(1, 0), objective=100,
+        )
+        filt = PlbfFilter(plan, (None, None))
+        a, b = tmp_path / "a.plbf", tmp_path / "b.plbf"
+        filt.save(a)
+        loaded = load_filter(a)
+        loaded.save(b)
+        assert loaded == filt
+        assert a.read_bytes() == b.read_bytes()
+
     def test_rejects_bad_magic(self, tmp_path):
         filt, _, _ = solved_filter()
         path = tmp_path / "f.plbf"
@@ -304,15 +350,63 @@ class TestSaveLoad:
         (lambda h: _with_plan(h, thresholds=h["plan"]["thresholds"][::-1]), "thresholds"),
         (lambda h: _with_plan(h, n_segments=h["plan"]["n_segments"] + 1), "21 segments"),
         (_claim_segments(1 << 40), "more than"),
+        (lambda h: dict(h, seed=str(h["seed"])), "not the one saving"),
+        (lambda h: dict(h, seed=h["seed"] + 0.9), "not the one saving"),
+        (lambda h: dict(h, n_segments=float(h["n_segments"])), "not the one saving"),
+        (lambda h: _retype_blob(h, "offset", str), "not the one saving"),
+        (lambda h: _retype_blob(h, "length", float), "not the one saving"),
+        (lambda h: _with_plan(h, n_regions=str(h["plan"]["n_regions"])), "plan_to_dict"),
+        (lambda h: _with_plan(h, key_mass=[math.nan] + h["plan"]["key_mass"][1:]),
+         "finite and nonnegative"),
+        (lambda h: _with_plan(h, key_mass=[1.5, -0.5] + [0.0] * (len(h["plan"]["key_mass"]) - 2)),
+         "finite and nonnegative"),
+        (lambda h: dict(h, comment="hi"), "not the one saving"),
+        (lambda h: _with_plan(h, comment="hi"), "plan_to_dict"),
     ], ids=["entry-not-object", "no-offset", "no-length", "header-list",
             "null-boundaries", "text-fprs", "nan-objective", "negative-objective",
-            "null-algorithm", "stray-thresholds", "stray-n-segments", "huge-n-segments"])
+            "null-algorithm", "stray-thresholds", "stray-n-segments", "huge-n-segments",
+            "text-seed", "fractional-seed", "float-n-segments", "text-offset",
+            "float-length", "text-n-regions", "nan-key-mass", "negative-key-mass",
+            "extra-header-field", "extra-plan-field"])
     def test_rejects_malformed_header(self, tmp_path, rewrite, message):
         filt, _, _ = solved_filter()
         path = tmp_path / "f.plbf"
         filt.save(path)
         self._rewrite_header(path, rewrite)
         with pytest.raises(ValidationError, match=message):
+            load_filter(path)
+
+    def test_rejects_every_scalar_of_another_type(self, tmp_path):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        saved = path.read_bytes()
+        _, _, header_len = _PREFIX.unpack_from(saved)
+        header = json.loads(saved[_PREFIX.size:_PREFIX.size + header_len])
+        tried = 0
+        for where, value in _scalars(header):
+            for odd in _retyped(value):
+                path.write_bytes(saved)
+                self._rewrite_header(path, lambda h: _replaced(h, where, odd))
+                with pytest.raises(ValidationError):
+                    load_filter(path)
+                tried += 1
+        assert tried > 100
+
+    def test_rejects_duplicate_keys(self, tmp_path):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        data = path.read_bytes()
+        _, version, header_len = _PREFIX.unpack_from(data)
+        header = data[_PREFIX.size:_PREFIX.size + header_len]
+        assert b'"seed": 0' in header
+        doubled = header.replace(b'"seed": 0', b'"seed": 5, "seed": 0')
+        path.write_bytes(
+            _PREFIX.pack(b"PLBF", version, len(doubled)) + doubled
+            + data[_PREFIX.size + header_len:]
+        )
+        with pytest.raises(ValidationError, match="not the one saving"):
             load_filter(path)
 
     def test_rejects_kind_rate_mismatch(self, tmp_path):

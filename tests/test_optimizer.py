@@ -269,6 +269,17 @@ class TestRegionPlanValidation:
         with pytest.raises(ValidationError):
             self._plan(key_mass=(0.9, 0.5))
 
+    @pytest.mark.parametrize("field", ["key_mass", "nonkey_mass"])
+    @pytest.mark.parametrize("masses", [(math.nan, 0.5), (1.5, -0.5)], ids=["nan", "negative"])
+    def test_rejects_masses_that_are_not_finite_and_nonnegative(self, field, masses):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            self._plan(**{field: masses})
+
+    @pytest.mark.parametrize("objective", [math.inf, math.nan, -1.0])
+    def test_rejects_objective_that_is_not_finite_and_nonnegative(self, objective):
+        with pytest.raises(ValidationError, match="objective"):
+            self._plan(objective=objective)
+
     def test_rejects_unknown_framework(self):
         with pytest.raises(ValidationError):
             self._plan(framework="other")
@@ -506,6 +517,22 @@ class TestPlanSerialization:
         data = plan_to_dict(self._sample_plan())
         del data["fprs"]
         with pytest.raises(ValidationError):
+            plan_from_dict(data)
+
+    def test_numbers_of_another_type_rejected(self):
+        data = {
+            "framework": "fpr", "n_regions": 2.7, "n_segments": 20,
+            "boundaries": [0, True, 20.9], "thresholds": [0.0, 0.05, 1.0],
+            "fprs": [0.1, 0.2], "key_mass": [0.5, 0.5], "nonkey_mass": [0.5, 0.5],
+            "objective": 1.0,
+        }
+        with pytest.raises(ValidationError, match="plan_to_dict"):
+            plan_from_dict(data)
+
+    def test_fractional_boundary_rejected(self):
+        data = plan_to_dict(self._sample_plan())
+        data["boundaries"][1] += 0.9
+        with pytest.raises(ValidationError, match="plan_to_dict"):
             plan_from_dict(data)
 
     def test_document_that_is_not_an_object_rejected(self):

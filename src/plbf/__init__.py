@@ -12,6 +12,7 @@ table: the best clustering of all segments, ignoring the rate cap).
 
 from .bloom import LOG2_E, BloomFilter, bits_for, hashes_for
 from .distribution import (
+    ScoreColumns,
     ScoreRecord,
     SegmentedDistribution,
     SyntheticSpec,
@@ -70,6 +71,7 @@ __all__ = [
     "PlbfError",
     "PlbfFilter",
     "RegionPlan",
+    "ScoreColumns",
     "ScoreRecord",
     "SegmentedDistribution",
     "SolveStats",

@@ -4,6 +4,11 @@ Every command is deterministic given its seed (``--seed`` flag, else the
 ``PLBF_SEED`` environment variable, else 0).  Exit codes: 0 success, 1 for
 validation problems (bad flags, malformed files), 2 when a plan is
 infeasible under the requested budget.
+
+build, query and bench read their CSV once into ``ScoreColumns`` and work
+on those columns: the histogram and the key routing are array operations,
+and the key and non-key subsets are taken with the label mask.  Each key
+is still inserted, and each probe still queried, by its own call.
 """
 
 from __future__ import annotations
@@ -111,8 +116,8 @@ def cmd_gen(args) -> int:
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
     target_fpr, memory_bits = _budget(args)
-    records = read_records_csv(args.data)
-    dist = segment_scores(records, args.segments)
+    columns = read_records_csv(args.data)
+    dist = segment_scores(columns, args.segments)
     config = BuildConfig(
         framework=args.framework,
         n_segments=args.segments,
@@ -122,7 +127,7 @@ def cmd_build(args) -> int:
         memory_bits=memory_bits,
     )
     plan, stats = solve_timed(dist, config)
-    keys = [rec for rec in records if rec.is_key]
+    keys = columns.subset(columns.is_key)
     t0 = time.perf_counter()
     filt = build_filter(keys, plan, seed)
     insert_seconds = time.perf_counter() - t0
@@ -136,7 +141,7 @@ def cmd_build(args) -> int:
         "n_regions": args.regions,
         "seed": seed,
         "n_keys": len(keys),
-        "n_nonkeys": len(records) - len(keys),
+        "n_nonkeys": len(columns) - len(keys),
         "objective": plan.objective,
         "expected_fpr": expected_fpr(plan.nonkey_mass, plan.fprs),
         "planned_bits": bloom_memory_bits(
@@ -164,19 +169,20 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     filt = load_filter(args.filter)
-    records = read_records_csv(args.data)
-    if not records:
+    columns = read_records_csv(args.data)
+    if not columns:
         raise ValidationError(f"query file {args.data} has no records")
     keys = key_positives = nonkeys = nonkey_positives = 0
     write = sys.stdout.write
-    for rec in records:
-        answer = filt.query(rec.element_id, rec.score)
-        ident = rec.element_id
+    for ident, score, is_key in zip(
+        columns.ids, columns.scores.tolist(), columns.is_key.tolist()
+    ):
+        answer = filt.query(ident, score)
         if "," in ident or '"' in ident or "\n" in ident or "\r" in ident:
             # quoted as csv.writer quotes it, so the line parses back
             ident = '"' + ident.replace('"', '""') + '"'
         write(f"{ident},{'true' if answer else 'false'}\n")
-        if rec.is_key:
+        if is_key:
             keys += 1
             key_positives += answer
         else:
@@ -199,10 +205,10 @@ def cmd_bench(args) -> int:
     algorithms = _comma_list(args.algorithms, "--algorithms", _algorithm)
     segment_counts = _comma_list(args.segments, "--segments")
     region_counts = _comma_list(args.regions, "--regions")
-    records = read_records_csv(args.data)
-    keys = [rec for rec in records if rec.is_key]
-    nonkeys = [rec for rec in records if not rec.is_key]
-    dists = {n: segment_scores(records, n) for n in segment_counts}
+    columns = read_records_csv(args.data)
+    keys = columns.subset(columns.is_key)
+    nonkeys = columns.subset(~columns.is_key)
+    dists = {n: segment_scores(columns, n) for n in segment_counts}
     lines = [f"# schema: {BENCH_SCHEMA}"]
     lines.append("algorithm,N,k,build_ms,expected_fpr,measured_fpr,memory_bits")
     for algo in algorithms:

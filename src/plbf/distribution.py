@@ -5,6 +5,13 @@ else.  Everything downstream consumes only the per-segment probability
 masses (``g`` for keys, ``h`` for non-keys), so both CSV ingestion and
 synthetic generation reduce to producing those two histograms.
 
+Scored elements travel as :class:`ScoreColumns`: a list of ids beside a
+float64 score array and a bool key mask.  ``read_records_csv`` parses a
+file straight into columns, and ``segment_scores`` bins the arrays without
+a per-element Python step.  :class:`ScoreRecord` is the one-element view
+that iterating columns yields and the synthetic generators produce;
+``ScoreColumns.from_records`` turns any iterable of them into columns.
+
 Distributions are immutable after construction and safe to share across
 threads.
 """
@@ -14,7 +21,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,6 +48,58 @@ class ScoreRecord:
     element_id: bytes | str
     score: float
     is_key: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreColumns:
+    """Scored elements as three parallel columns, in input order.
+
+    ``ids`` holds the opaque ids, ``scores`` their float64 scores and
+    ``is_key`` their bool labels.  The arrays are read-only.  Iterating
+    yields one :class:`ScoreRecord` per element; compare columns through
+    ``list(columns)``.
+    """
+
+    ids: list
+    scores: np.ndarray
+    is_key: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        if self.scores.dtype != np.float64 or self.scores.shape != (n,):
+            raise ValidationError("scores must be a float64 array with one entry per id")
+        if self.is_key.dtype != np.bool_ or self.is_key.shape != (n,):
+            raise ValidationError("is_key must be a bool array with one entry per id")
+        self.scores.setflags(write=False)
+        self.is_key.setflags(write=False)
+
+    @classmethod
+    def from_records(cls, records) -> "ScoreColumns":
+        """Columns holding the given :class:`ScoreRecord`-like items, in order.
+
+        Columns pass through unchanged, so every consumer of scored
+        elements can take either form.
+        """
+        if isinstance(records, ScoreColumns):
+            return records
+        records = list(records)
+        n = len(records)
+        return cls(
+            list(map(attrgetter("element_id"), records)),
+            np.fromiter(map(attrgetter("score"), records), np.float64, n),
+            np.fromiter(map(attrgetter("is_key"), records), np.bool_, n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(ScoreRecord, self.ids, self.scores.tolist(), self.is_key.tolist())
+
+    def subset(self, mask: np.ndarray) -> "ScoreColumns":
+        """The elements where the bool ``mask`` is true, in their order."""
+        return ScoreColumns(list(compress(self.ids, mask.tolist())),
+                            self.scores[mask], self.is_key[mask])
 
 
 @dataclass(frozen=True)
@@ -114,24 +175,24 @@ def _build(n_segments: int, g: np.ndarray, h: np.ndarray, n_keys: int) -> Segmen
 
 
 def segment_scores(records, n_segments: int) -> SegmentedDistribution:
-    """Bin scored records into ``n_segments`` equal-width histograms.
+    """Bin scored elements into ``n_segments`` equal-width histograms.
 
-    Raises a validation error for scores outside [0, 1] (naming the first
-    such record), and distinct errors when the key side or the non-key side
-    is empty.  The bins are :func:`segment_index`'s: truncating
+    ``records`` is :class:`ScoreColumns` or an iterable of records.  Raises
+    a validation error for scores outside [0, 1] (naming the first such
+    element), and distinct errors when the key side or the non-key side is
+    empty.  The bins are :func:`segment_index`'s: truncating
     ``score * n_segments`` as an int64 is ``int()`` on [0, 1], and 1 folds
     into the last bin.
     """
     if n_segments < 2:
         raise ValidationError("n_segments must be at least 2")
-    records = list(records)
-    scores = np.fromiter(map(attrgetter("score"), records), np.float64, len(records))
-    is_key = np.fromiter(map(attrgetter("is_key"), records), np.bool_, len(records))
+    columns = ScoreColumns.from_records(records)
+    scores, is_key = columns.scores, columns.is_key
     outside = ~((scores >= 0.0) & (scores <= 1.0))  # NaN is outside too
     if outside.any():
-        rec = records[int(outside.argmax())]
+        i = int(outside.argmax())
         raise ValidationError(
-            f"record {rec.element_id!r} has score {rec.score!r} outside [0, 1]"
+            f"record {columns.ids[i]!r} has score {float(scores[i])!r} outside [0, 1]"
         )
     bins = np.minimum((scores * n_segments).astype(np.int64), n_segments - 1)
     counts = np.bincount(bins + n_segments * is_key, minlength=2 * n_segments)
@@ -316,28 +377,63 @@ def _fill_segments(rng, counts, n_segments, is_key, prefix) -> list[ScoreRecord]
     return records
 
 
-def read_records_csv(path) -> list[ScoreRecord]:
-    """Parse ``element_id,score,label`` rows; label 1 marks keys.
+def read_records_csv(path) -> ScoreColumns:
+    """Parse ``element_id,score,label`` rows into columns; label 1 marks keys.
 
-    Malformed rows raise a validation error naming the line.  A header-only
-    file yields an empty list.
+    Rows stream into three lists with no object kept per row; the scores
+    are then parsed and the rows checked in bulk.  Malformed rows raise a
+    validation error naming the first bad row's line, as the csv module
+    counts lines (a quoted id spanning lines advances the count).  A
+    header-only file yields empty columns.
     """
+    with _open_csv(path) as fh:
+        ids, score_texts, labels = [], [], []
+        add_id, add_score, add_label = ids.append, score_texts.append, labels.append
+        try:
+            for element_id, score_text, label in _rows(fh, path):
+                add_id(element_id)
+                add_score(score_text)
+                add_label(label)
+        except ValueError:  # a row without exactly three fields
+            _raise_first_bad_row(path)
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+    except ValueError:
+        _raise_first_bad_row(path)
+    del score_texts  # the score strings outweigh the parsed array; free them first
+    if not ((scores >= 0.0) & (scores <= 1.0)).all() or not set(labels) <= {"0", "1"}:
+        _raise_first_bad_row(path)
+    # each label is now one ASCII character, so the joined bytes line up with the rows
+    is_key = np.frombuffer("".join(labels).encode("ascii"), np.uint8) == ord("1")
+    return ScoreColumns(ids, scores, is_key)
+
+
+def _open_csv(path):
+    try:
+        return open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, expected header "
-                                  f"{','.join(CSV_HEADER)}") from None
-        if tuple(header) != CSV_HEADER:
-            raise ValidationError(
-                f"{path}: bad header {header!r}, expected {list(CSV_HEADER)}"
-            )
-        records = []
+
+
+def _rows(fh, path):
+    """A csv reader over ``fh`` positioned after its checked header."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file, expected header "
+                              f"{','.join(CSV_HEADER)}") from None
+    if tuple(header) != CSV_HEADER:
+        raise ValidationError(
+            f"{path}: bad header {header!r}, expected {list(CSV_HEADER)}"
+        )
+    return reader
+
+
+def _raise_first_bad_row(path) -> NoReturn:
+    """Re-read ``path`` row by row and raise the error of its first bad row."""
+    with _open_csv(path) as fh:
+        reader = _rows(fh, path)
         for row in reader:
             line = reader.line_num
             if len(row) != 3:
@@ -353,8 +449,7 @@ def read_records_csv(path) -> list[ScoreRecord]:
                 )
             if label not in ("0", "1"):
                 raise ValidationError(f"{path}:{line}: label must be 0 or 1, got {label!r}")
-            records.append(ScoreRecord(element_id, score, label == "1"))
-        return records
+    raise ValidationError(f"{path}: file changed while it was read")
 
 
 def write_records_csv(path, records) -> None:

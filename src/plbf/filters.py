@@ -3,7 +3,8 @@
 A query maps its score to a segment, the segment to a region, and asks that
 region's filter about the element.  The segment-to-region map is one table,
 built once per filter from the plan's boundaries; ``build_filter`` routes
-keys through the same table.  Regions whose planned rate is 1 store
+a whole score array through the same table at once and then inserts each
+region's keys in their input order.  Regions whose planned rate is 1 store
 nothing and answer true; regions that received no keys store nothing and
 answer false.  Keys always answer true: they were inserted into the filter
 of the region their score falls in, and Bloom filters have no false
@@ -16,7 +17,10 @@ import json
 import struct
 from array import array
 
+import numpy as np
+
 from .bloom import BloomFilter, bits_for, hashes_for
+from .distribution import ScoreColumns
 from .errors import ValidationError
 from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
 
@@ -64,6 +68,9 @@ class PlbfFilter:
 
     ``region_filters`` has one entry per region; ``None`` marks a region
     that stores nothing (rate-1 regions answer true, keyless ones false).
+    Each filter must carry its region's seed and the bit and hash counts
+    ``build_filter`` derives from its key count and planned rate, so every
+    filter that constructs also saves to a file that loads.
     """
 
     __slots__ = ("plan", "seed", "region_filters", "_regions", "_n_segments")
@@ -78,13 +85,16 @@ class PlbfFilter:
             raise ValidationError(
                 f"expected {plan.n_regions} region filters, got {len(region_filters)}"
             )
+        if not (0 <= seed <= _MASK64):
+            raise ValidationError("seed must fit in 64 bits")
         for r, filt in enumerate(region_filters):
-            if filt is not None and plan.fprs[r] >= 1.0:
+            if filt is None:
+                continue
+            if plan.fprs[r] >= 1.0:
                 raise ValidationError(
                     f"region {r} has rate 1 and must not carry a filter"
                 )
-        if not (0 <= seed <= _MASK64):
-            raise ValidationError("seed must fit in 64 bits")
+            _check_region_filter(filt, r, region_seed(seed, r), plan.fprs[r])
         self.plan = plan
         self.seed = int(seed)
         self.region_filters = tuple(region_filters)
@@ -109,19 +119,14 @@ class PlbfFilter:
         return filt.contains(element_id)
 
     def measure_fpr(self, records) -> float:
-        """Fraction of the given non-key records that query positive."""
-        positives = 0
-        total = 0
-        for rec in records:
-            if rec.is_key:
-                raise ValidationError(
-                    f"measure_fpr expects non-keys only, got key {rec.element_id!r}"
-                )
-            positives += self.query(rec.element_id, rec.score)
-            total += 1
-        if total == 0:
+        """Fraction of the given non-keys (columns or records) that query positive."""
+        columns = ScoreColumns.from_records(records)
+        if not len(columns):
             raise ValidationError("measure_fpr needs at least one record")
-        return positives / total
+        if columns.is_key.any():
+            key = columns.ids[int(columns.is_key.argmax())]
+            raise ValidationError(f"measure_fpr expects non-keys only, got key {key!r}")
+        return sum(map(self.query, columns.ids, columns.scores.tolist())) / len(columns)
 
     def _encode(self) -> tuple[bytes, list[bytes]]:
         """The JSON header and the region blobs that :meth:`save` writes."""
@@ -170,32 +175,35 @@ class PlbfFilter:
 
 
 def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
-    """Insert key records into per-region filters sized from the plan.
+    """Insert keys (columns or records) into per-region filters sized from the plan.
 
-    One pass groups the key ids by region; each region's filter is then
-    sized from its group and filled with it.  Every record must be a key;
-    non-keys only ever inform the plan.
+    The region of every key comes from one lookup of the region table with
+    ``(scores * n_segments).astype(int64)``, which is ``int(score *
+    n_segments)`` on [0, 1].  Each region's filter is then sized from the
+    keys that fall in it and filled with them in their input order.  Every
+    element must be a key; non-keys only ever inform the plan.
     """
-    regions = _region_table(plan)
-    n = plan.n_segments
-    groups: list[list] = [[] for _ in range(plan.n_regions)]
-    for rec in records:
-        if not rec.is_key:
+    columns = ScoreColumns.from_records(records)
+    scores = columns.scores
+    bad = ~columns.is_key | ~((scores >= 0.0) & (scores <= 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        element_id = columns.ids[i]
+        if not columns.is_key[i]:
             raise ValidationError(
-                f"build_filter expects keys only, got non-key {rec.element_id!r}"
+                f"build_filter expects keys only, got non-key {element_id!r}"
             )
-        if not (0.0 <= rec.score <= 1.0):
-            raise ValidationError(
-                f"score must lie in [0, 1], got {rec.score!r} "
-                f"for {rec.element_id!r}"
-            )
-        groups[regions[int(rec.score * n)]].append(rec.element_id)
+        raise ValidationError(
+            f"score must lie in [0, 1], got {float(scores[i])!r} for {element_id!r}"
+        )
+    regions = np.asarray(_region_table(plan))[(scores * plan.n_segments).astype(np.int64)]
     filters: list[BloomFilter | None] = []
-    for r, ids in enumerate(groups):
-        if plan.fprs[r] >= 1.0 or not ids:
+    for r, rate in enumerate(plan.fprs):
+        ids = columns.subset(regions == r).ids if rate < 1.0 else []
+        if not ids:
             filters.append(None)
             continue
-        filt = BloomFilter.for_capacity(len(ids), plan.fprs[r], region_seed(seed, r))
+        filt = BloomFilter.for_capacity(len(ids), rate, region_seed(seed, r))
         for element_id in ids:
             filt.insert(element_id)
         filters.append(filt)
@@ -208,9 +216,8 @@ def load_filter(path) -> PlbfFilter:
     Accepts only a file that saving the loaded filter again reproduces byte
     for byte: the header must be the one ``save`` writes for the plan, seed
     and region filters it describes, and the region blobs lie end to end in
-    region order and fill the blob section exactly.  Each blob must also
-    carry its region's seed and the bit and hash counts ``build_filter``
-    derives from its key count and planned rate.
+    region order and fill the blob section exactly.  The blobs must also
+    pass :class:`PlbfFilter`'s own check of each region filter.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -266,9 +273,7 @@ def load_filter(path) -> PlbfFilter:
         if not (0 <= length <= len(blob_section) - off):
             raise ValidationError(f"region {r} blob range out of bounds")
         blob_end = off + length
-        filt = BloomFilter.from_bytes(bytes(blob_section[off:blob_end]))
-        _check_region_filter(filt, r, region_seed(seed, r), rate)
-        filters.append(filt)
+        filters.append(BloomFilter.from_bytes(bytes(blob_section[off:blob_end])))
     if blob_end != len(blob_section):
         raise ValidationError(
             f"{len(blob_section) - blob_end} trailing bytes after the last region blob"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -272,6 +273,63 @@ class TestQuery:
         rc = run("query", "--filter", str(filt), "--data", str(data))
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: filter header is not a JSON object")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestByteIdentity:
+    """gen, build and query on one fixed dataset write exactly the pinned bytes.
+
+    Each case pins the sha256 of the ``.plbf`` file, of the report's plan
+    (canonical JSON) and of the query output.  fast and fastpp agree on the
+    plan and the answers; their files differ only in the algorithm name.
+    """
+
+    PINS = {
+        ("fast", "fpr"): (
+            "46c6104689bf07c96b287d0a9bd4f5fbdfefde0b3ae4e9e91a1734c2851a634e",
+            "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
+            "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
+        ),
+        ("fast", "memory"): (
+            "dce7a526baf3cc418beffa0ea405779db4eec3bf3373622df5baed09d8a5425f",
+            "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
+            "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
+        ),
+        ("fastpp", "fpr"): (
+            "3739fc278b63fe66dd988bdd3ec5d2576d03aa88bdc8733d3294df7214ce55da",
+            "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
+            "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
+        ),
+        ("fastpp", "memory"): (
+            "02962c4a44d2292dc92142ab32564845106e8c22682fcf65dbc6a96a72522e74",
+            "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
+            "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
+        ),
+    }
+    BUDGETS = {"fpr": ("--target-fpr", "0.01"), "memory": ("--memory-bits", "12000")}
+
+    @pytest.mark.parametrize("algorithm,framework", sorted(PINS))
+    def test_outputs_match_pins(self, tmp_path, capsys, algorithm, framework):
+        data = gen_dataset(tmp_path / "data.csv", segments=200, keys=3000,
+                           nonkeys=3000, seed=7, swaps=20)
+        out, report = tmp_path / "f.plbf", tmp_path / "f.json"
+        assert run(
+            "build", "--data", str(data), "--out", str(out), "--report", str(report),
+            "--segments", "200", "--regions", "5", "--algorithm", algorithm,
+            "--framework", framework, *self.BUDGETS[framework], "--seed", "7",
+        ) == 0
+        capsys.readouterr()
+        assert run("query", "--filter", str(out), "--data", str(data)) == 0
+        answers = capsys.readouterr().out
+        plan = json.loads(report.read_text())["plan"]
+        assert (
+            sha256(out.read_bytes()),
+            sha256(json.dumps(plan, sort_keys=True, separators=(",", ":")).encode()),
+            sha256(answers.encode()),
+        ) == self.PINS[algorithm, framework]
 
 
 class TestBench:

@@ -228,7 +228,7 @@ class TestCsvRoundTrip:
         records = synthesize_records(SyntheticSpec(15, 120, 80, seed=4))
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
-        assert read_records_csv(path) == records
+        assert list(read_records_csv(path)) == records
 
     def test_nudged_scores_round_trip(self, tmp_path):
         class TopOfBin:
@@ -240,7 +240,7 @@ class TestCsvRoundTrip:
         assert segment_index(records[0].score, 3) == 0
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
-        assert read_records_csv(path) == records
+        assert list(read_records_csv(path)) == records
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

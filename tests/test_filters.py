@@ -8,6 +8,7 @@ import pytest
 from conftest import random_distribution
 
 from plbf import (
+    BloomFilter,
     BuildConfig,
     PlbfFilter,
     RegionPlan,
@@ -240,6 +241,28 @@ class TestConstructorValidation:
     def test_seed_range(self):
         with pytest.raises(ValidationError):
             PlbfFilter(make_plan(), (None, None), seed=-1)
+
+    def test_region_filter_that_would_not_load_is_refused(self, tmp_path):
+        # 64 bits and 3 hashes under region 0's seed 1: a filter no key count
+        # and rate size, so its saved file would not load
+        with pytest.raises(ValidationError, match="region 0 filter seed 1"):
+            PlbfFilter(make_plan(), (BloomFilter(64, 3, seed=1), None)).save(
+                tmp_path / "f.plbf"
+            )
+        assert not (tmp_path / "f.plbf").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_bits", 64, "has 64 bits"),
+        ("n_hashes", 1, "has 1 hashes"),
+    ])
+    def test_region_filter_sizes_are_checked(self, field, value, message):
+        plan = make_plan()  # region 0 receives the 10 keys at rate 0.02
+        good = build_filter(key_records(10, 0.0, 0.49), plan).region_filters[0]
+        sizes = {"n_bits": good.n_bits, "n_hashes": good.n_hashes, field: value}
+        odd = BloomFilter(sizes["n_bits"], sizes["n_hashes"], seed=good.seed)
+        odd.n_inserted = good.n_inserted
+        with pytest.raises(ValidationError, match=message):
+            PlbfFilter(plan, (odd, None))
 
 
 class TestRegionSeed:

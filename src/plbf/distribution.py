@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
@@ -394,7 +395,7 @@ def read_records_csv(path) -> ScoreColumns:
                 add_id(element_id)
                 add_score(score_text)
                 add_label(label)
-        except ValueError:  # a row without exactly three fields
+        except ValueError:  # a row without exactly three fields, or bytes not UTF-8
             _raise_first_bad_row(path)
     try:
         scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
@@ -408,11 +409,18 @@ def read_records_csv(path) -> ScoreColumns:
     return ScoreColumns(ids, scores, is_key)
 
 
+@contextmanager
 def _open_csv(path):
     try:
-        return open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
 
 
 def _rows(fh, path):

@@ -12,7 +12,7 @@ clustering exists.
 Two builders produce these tables:
 
 * :func:`divergence_table` fills the whole table bottom-up, one column per
-  region count, in O(N^2 k) work.
+  region count, in O(N^2 k) work over one divergence matrix computed once.
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column.  Exact when the candidate
@@ -196,20 +196,29 @@ def _fill_columns(n_rows: int, n_cols: int, row_maxima) -> DPTable:
 
 
 class _TableBuilder:
-    """Columnwise table construction over a reusable workspace.
+    """Columnwise table construction over one divergence matrix.
 
-    One instance serves many prefix lengths: buffers are sized once for the
-    largest table and sliced per call, so a sweep over prefixes never
-    reallocates the O(N^2) scratch matrices.
+    A region's G * log2(G / H) depends only on the histogram, so the matrix
+    of every region's divergence (row: last segment, column: first, 0-based)
+    is computed once; a column update adds the previous column to its leading
+    square, so one instance serves every prefix length a sweep asks for.
     """
 
     def __init__(self, dist: SegmentedDistribution) -> None:
-        self._dist = dist
         size = dist.n_segments - 1
-        self._work_g = np.empty((size, size), dtype=np.float64)
-        self._work_t = np.empty((size, size), dtype=np.float64)
-        # entries with start segment past the end segment are forbidden
-        self._forbidden = np.triu(np.ones((size, size), dtype=bool), 1)
+        gp = dist.g_prefix
+        hp = dist.h_prefix
+        g_mat = gp[1 : size + 1, None] - gp[None, :size]
+        div = hp[1 : size + 1, None] - hp[None, :size]
+        # a tiny non-key mass can overflow G / H to +inf, as in divergence()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(g_mat, div, out=div)
+            np.log2(div, out=div)
+            np.multiply(g_mat, div, out=div)
+        del g_mat  # before the masks below, which would otherwise raise the peak
+        div[np.triu(np.ones((size, size), dtype=bool), 1)] = NEG_INF  # start past the end
+        div[np.isnan(div)] = 0.0  # zero key mass contributes nothing
+        self._div = div
 
     def build(self, n_rows: int, n_cols: int) -> DPTable:
         return _fill_columns(n_rows, n_cols, self._scan)
@@ -217,21 +226,9 @@ class _TableBuilder:
     def _scan(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row maxima of one column by scanning every candidate start."""
         size = prev.size - 1
-        gp = self._dist.g_prefix
-        hp = self._dist.h_prefix
-        g_mat = self._work_g[:size, :size]
-        term = self._work_t[:size, :size]
-        np.subtract(gp[1 : size + 1, None], gp[None, :size], out=g_mat)
-        np.subtract(hp[1 : size + 1, None], hp[None, :size], out=term)
-        # a tiny non-key mass can overflow G / H to +inf, as in divergence()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(g_mat, term, out=term)
-            np.log2(term, out=term)
-            np.multiply(g_mat, term, out=term)
-            term[self._forbidden[:size, :size]] = NEG_INF
-            term[np.isnan(term)] = 0.0  # zero key mass contributes nothing
-            np.add(term, prev[None, :size], out=term)
-            term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
+        with np.errstate(invalid="ignore"):
+            term = self._div[:size, :size] + prev[None, :size]
+        term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
         return term.max(axis=1), term.argmax(axis=1)
 
 

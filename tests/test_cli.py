@@ -283,8 +283,10 @@ class TestByteIdentity:
     """gen, build and query on one fixed dataset write exactly the pinned bytes.
 
     Each case pins the sha256 of the ``.plbf`` file, of the report's plan
-    (canonical JSON) and of the query output.  fast and fastpp agree on the
-    plan and the answers; their files differ only in the algorithm name.
+    (canonical JSON), of the query output and of the ``--dump-dp`` table.
+    fast, fastpp and plbf agree on the plan and the answers; their files
+    differ only in the algorithm name.  fast, plbf and relaxed dump the one
+    N x k table; fastpp dumps its row-maxima table.
     """
 
     PINS = {
@@ -292,21 +294,49 @@ class TestByteIdentity:
             "46c6104689bf07c96b287d0a9bd4f5fbdfefde0b3ae4e9e91a1734c2851a634e",
             "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
             "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
         ),
         ("fast", "memory"): (
             "dce7a526baf3cc418beffa0ea405779db4eec3bf3373622df5baed09d8a5425f",
             "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
             "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
         ),
         ("fastpp", "fpr"): (
             "3739fc278b63fe66dd988bdd3ec5d2576d03aa88bdc8733d3294df7214ce55da",
             "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
             "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
+            "b35f66a36704dba5faa9aeef98db246a4f9699c86191e10cd57e58376cf8b235",
         ),
         ("fastpp", "memory"): (
             "02962c4a44d2292dc92142ab32564845106e8c22682fcf65dbc6a96a72522e74",
             "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
             "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
+            "b35f66a36704dba5faa9aeef98db246a4f9699c86191e10cd57e58376cf8b235",
+        ),
+        ("plbf", "fpr"): (
+            "682615c06da0b76cc2e63cf790157ddde158c50e40acadc90fc99f280e008a04",
+            "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
+            "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+        ),
+        ("plbf", "memory"): (
+            "ceafd29e0d96add80c05b7c7a6e97e1ac4775b8c90139dc9ac4d7211162dcae3",
+            "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
+            "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+        ),
+        ("relaxed", "fpr"): (
+            "ff9affb5857806f0d9149c4f4e42f37dab7f50cef2fdf1d47031da49c45b72d1",
+            "c90ec79d9a9ed4fb1d93ad2b88742f2b1b250f98d096d4eccb712e205d173d5b",
+            "841d1fcd79edbf1501a76541a4874e559e0605e5964474fa46e2ec2abc9b13f3",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+        ),
+        ("relaxed", "memory"): (
+            "8e3ac8f4bf0c909324fe42a58b6ed15b6be29ea82b32204075dce19d10dfc644",
+            "51bc119d881941d87d485cc1fedf4866d8ed2a63ddf4e8e59f27f0e1154d86fd",
+            "398ad6df363b4d393e99f3727fc4b68611d8a45fe51d61023af78a0efb81218b",
+            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
         ),
     }
     BUDGETS = {"fpr": ("--target-fpr", "0.01"), "memory": ("--memory-bits", "12000")}
@@ -315,11 +345,12 @@ class TestByteIdentity:
     def test_outputs_match_pins(self, tmp_path, capsys, algorithm, framework):
         data = gen_dataset(tmp_path / "data.csv", segments=200, keys=3000,
                            nonkeys=3000, seed=7, swaps=20)
-        out, report = tmp_path / "f.plbf", tmp_path / "f.json"
+        out, report, dump = tmp_path / "f.plbf", tmp_path / "f.json", tmp_path / "dp.csv"
         assert run(
             "build", "--data", str(data), "--out", str(out), "--report", str(report),
             "--segments", "200", "--regions", "5", "--algorithm", algorithm,
             "--framework", framework, *self.BUDGETS[framework], "--seed", "7",
+            "--dump-dp", str(dump),
         ) == 0
         capsys.readouterr()
         assert run("query", "--filter", str(out), "--data", str(data)) == 0
@@ -329,6 +360,7 @@ class TestByteIdentity:
             sha256(out.read_bytes()),
             sha256(json.dumps(plan, sort_keys=True, separators=(",", ":")).encode()),
             sha256(answers.encode()),
+            sha256(dump.read_bytes()),
         ) == self.PINS[algorithm, framework]
 
 
@@ -386,6 +418,24 @@ class TestBench:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("command", ["build", "query", "bench"])
+    def test_data_that_is_not_utf8_exits_one(self, tmp_path, capsys, command):
+        filt = tmp_path / "f.plbf"
+        assert run("build", "--data", str(gen_dataset(tmp_path / "good.csv")),
+                   "--out", str(filt), "--segments", "80", "--regions", "4") == 0
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"element_id,score,label\na\xff\xfeb,0.5,1\nc,0.25,0\n")
+        args = {
+            "build": ("--out", str(tmp_path / "x.plbf"), "--segments", "3", "--regions", "2"),
+            "query": ("--filter", str(filt)),
+            "bench": ("--segments", "3", "--regions", "2"),
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--data", str(data), *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{data}: not UTF-8 text" in err
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             run("build")  # missing required flags

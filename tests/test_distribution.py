@@ -266,6 +266,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("rows_before", [0, 5000])
+    def test_rejects_bytes_that_are_not_utf8(self, tmp_path, rows_before):
+        # 5000 rows put the bad bytes past the first block the decoder reads,
+        # so the bulk pass meets them first and the row-by-row re-read reports
+        path = tmp_path / "bad.csv"
+        rows = b"".join(b"id%d,0.5,1\n" % i for i in range(rows_before))
+        path.write_bytes(b"element_id,score,label\n" + rows + b"a\xff\xfeb,0.5,1\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv: not UTF-8 text"):
+            read_records_csv(path)
+
 
 class TestSyntheticSpecValidation:
     def test_rejects_tiny_segment_count(self):

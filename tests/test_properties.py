@@ -18,11 +18,14 @@ from plbf import (
     InfeasibleError,
     SegmentedDistribution,
     build_filter,
+    divergence_table,
+    ensure_positive_masses,
     load_filter,
     sample_records,
     segment_scores,
     solve,
 )
+from plbf.dp import _TableBuilder
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -70,6 +73,22 @@ def test_accepted_input_gets_a_plan_or_infeasible_error(case):
             continue
         assert plan.n_regions == config.n_regions
         assert plan.n_segments == d.n_segments
+
+
+@PROPERTY_SETTINGS
+@given(case=planning_inputs())
+def test_per_start_tables_are_windows_of_the_full_table(case):
+    # plbf re-plans every start j from a j-row table and must agree with fast,
+    # which traces the same start in the first j rows of one N-row table
+    raw = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    k = case["n_regions"]
+    for d in (raw, ensure_positive_masses(raw)):
+        full = divergence_table(d, k)
+        builder = _TableBuilder(d)
+        for j in range(k, d.n_segments + 1):
+            table = builder.build(j, k)
+            assert table.values.tobytes() == full.values[:j].tobytes()
+            assert table.parents.tobytes() == full.parents[:j].tobytes()
 
 
 @PROPERTY_SETTINGS

@@ -295,6 +295,25 @@ def trace_boundaries(table: DPTable, boundary_segment: int, n_regions: int) -> l
     return ends
 
 
+def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
+    """The layouts :func:`trace_boundaries` traces, for many starts at once.
+
+    Row i of the (len(starts) x (n_regions + 1)) result is
+    ``[0, *trace_boundaries(table, starts[i], n_regions), table.n_rows]``:
+    each layout's region boundaries, its final region starting at segment
+    ``starts[i]``.  Every start's cell must be reachable (not -inf); the
+    walk back is one gather of ``parents`` per region.
+    """
+    p = np.asarray(starts, dtype=np.int64) - 1
+    bounds = np.empty((p.size, n_regions + 1), dtype=np.int64)
+    bounds[:, n_regions] = table.n_rows
+    for q in range(n_regions - 1, 0, -1):
+        bounds[:, q] = p
+        p = table.parents[p, q] - 1
+    bounds[:, 0] = p  # every reachable chain ends at the empty prefix
+    return bounds
+
+
 def write_table_csv(table: DPTable, path) -> None:
     """Debug dump: one row per table cell with its value and parent."""
     with open(path, "w", encoding="utf-8") as fh:

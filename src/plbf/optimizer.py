@@ -14,9 +14,19 @@ false-positive rate per region, from the closed-form optimum of the framework:
   exactly, re-solved under the same clamping loop (a region whose G_i / H_i
   overflows clamps to 1 before beta is solved).
 
-Candidates are scored by total filter memory (``fpr`` framework) or by
-expected false-positive rate (``memory`` framework); the sweep keeps the
-smallest final-region start on ties, so results are deterministic.
+The sweep gathers every candidate layout first: ``fast``, ``fastpp`` and
+``relaxed`` trace all their reachable final-region starts from one table at
+once (``plbf`` re-plans each start and traces it alone), and layouts with a
+region of zero mass are dropped.  One call of the framework's rate solver
+then takes all layouts as a (layouts x regions) batch, and the scores are
+computed as arrays: total filter memory (``fpr`` framework) or expected
+false-positive rate (``memory`` framework).  A layout the closed form finds
+infeasible gets NaN rates and is skipped; only when every layout is
+infeasible does the solve raise, with the first layout's own error.  The
+lowest score wins, and ties go to the smallest final-region start, so
+results are deterministic.  The batch sums each row left to right and takes
+``math.log2`` and ``2.0 **`` entry by entry, so every layout gets the rates
+a one-layout call gives it, to the bit.
 """
 
 from __future__ import annotations
@@ -31,12 +41,14 @@ import numpy as np
 from .bloom import LOG2_E
 from .distribution import SegmentedDistribution
 from .dp import (
+    NEG_INF,
     DPTable,
     _TableBuilder,
     divergence,
     divergence_table,
     divergence_table_monotone,
     trace_boundaries,
+    trace_layouts,
 )
 from .errors import InfeasibleError, ValidationError
 
@@ -182,128 +194,199 @@ def ensure_positive_masses(dist: SegmentedDistribution) -> SegmentedDistribution
     return SegmentedDistribution.from_masses(g, h, dist.n_keys, normalize=False)
 
 
-def _positive_masses(key_mass, nonkey_mass) -> tuple[list[float], list[float]]:
-    g = list(map(float, key_mass))
-    h = list(map(float, nonkey_mass))
-    if len(g) < 1 or len(h) != len(g):
+def _positive_masses(key_mass, nonkey_mass) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Mass vectors as (layouts x regions) arrays, and whether they came as a batch."""
+    g = np.asarray(key_mass, dtype=np.float64)
+    h = np.asarray(nonkey_mass, dtype=np.float64)
+    if g.ndim not in (1, 2) or g.shape[-1] < 1 or h.shape != g.shape:
         raise ValidationError("mass vectors must be equally sized and nonempty")
-    if any(x <= 0 for x in g) or any(x <= 0 for x in h):
+    if (g <= 0.0).any() or (h <= 0.0).any():
         raise ValidationError("region masses must be positive")
-    return g, h
+    return g.reshape(-1, g.shape[-1]), h.reshape(-1, h.shape[-1]), g.ndim == 2
 
 
-def _clamped_rates(g: list[float], h: list[float], free_rates) -> list[float]:
+def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Each row's sum (of the entries ``mask`` marks), added left to right.
+
+    That is the order in which Python's ``sum`` adds a list; numpy sums eight
+    or more entries pairwise, which can round differently.
+    """
+    total = np.zeros(len(x))
+    for i in range(x.shape[1]):
+        total += x[:, i] if mask is None else np.where(mask[:, i], x[:, i], 0.0)
+    return total
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP."""
+    return np.fromiter(map(log2, x.flat), np.float64, x.size).reshape(x.shape)
+
+
+def _clamped_rates(g: np.ndarray, h: np.ndarray, free_rates):
     """Clamp rates above 1 and re-solve the rest until all lie in (0, 1].
 
-    ``free_rates(free, g_clamped, h_clamped)`` is the framework's closed form:
-    the rates of the regions listed in ``free`` (index order), given the key
-    and non-key mass of the regions already clamped to 1.  The first solve is
-    the re-solve with nothing clamped.
+    ``g`` and ``h`` hold one layout's region masses per row.
+    ``free_rates(rows, free, g_clamped, h_clamped)`` is the framework's closed
+    form for the layouts ``rows``: their rates in the columns ``free`` marks
+    (other columns are ignored), given the key and non-key mass of the
+    regions already clamped to 1, and whether each layout is feasible.  The
+    first solve is the re-solve with nothing clamped.  Returns the rates, NaN
+    across an infeasible layout's row, and where each layout stopped: its
+    clamped regions and their key and non-key mass.
     """
-    k = len(g)
-    f = free_rates(range(k), 0.0, 0.0)
-    clamped = [False] * k
+    rows = np.arange(len(g))
+    clamped = np.zeros(g.shape, dtype=bool)
+    g_clamped = np.zeros(len(g))
+    h_clamped = np.zeros(len(g))
+    f, feasible = free_rates(rows, ~clamped, g_clamped, h_clamped)
     while True:
-        newly = [i for i in range(k) if not clamped[i] and f[i] > 1.0]
-        if not newly:
-            return [fi if fi >= FPR_FLOOR else FPR_FLOOR for fi in f]
-        for i in newly:
-            clamped[i] = True
-            f[i] = 1.0
-        free = [i for i in range(k) if not clamped[i]]
-        held = [i for i in range(k) if clamped[i]]
-        g_clamped = sum([g[i] for i in held])
-        h_clamped = sum([h[i] for i in held])
-        for i, fi in zip(free, free_rates(free, g_clamped, h_clamped)):
-            f[i] = fi
+        f[rows[~feasible]] = np.nan
+        newly = ~clamped & (f > 1.0)  # NaN > 1 is false: infeasible rows stop
+        rows = np.flatnonzero(newly.any(axis=1))
+        if not rows.size:
+            return np.maximum(f, FPR_FLOOR, out=f), clamped, g_clamped, h_clamped
+        clamped |= newly
+        f[newly] = 1.0
+        g_clamped[rows] = _row_sums(g[rows], clamped[rows])
+        h_clamped[rows] = _row_sums(h[rows], clamped[rows])
+        rates, feasible = free_rates(rows, ~clamped[rows], g_clamped[rows], h_clamped[rows])
+        f[rows] = np.where(clamped[rows], 1.0, rates)
 
 
-def optimal_fprs_for_fpr(key_mass, nonkey_mass, target_fpr: float) -> list[float]:
+def _one_or_batch(fprs: np.ndarray, batch: bool, error):
+    """A batch's rates as they are; one layout's as a list, or ``error()`` raised."""
+    if batch:
+        return fprs
+    if np.isnan(fprs[0, 0]):
+        raise error()
+    return fprs[0].tolist()
+
+
+def optimal_fprs_for_fpr(
+    key_mass, nonkey_mass, target_fpr: float
+) -> list[float] | np.ndarray:
     """Per-region rates meeting an overall target rate with minimal memory.
 
     Starts from f_i = G_i * F / H_i, clamps rates above 1, and re-solves the
     rest against the budget left after the clamped regions until every rate
     lies in (0, 1].  With mass vectors summing to 1 the result always spends
     the budget exactly: sum(H_i * f_i) == F.
+
+    The masses are one layout's regions, for a list of rates, or a (layouts x
+    regions) batch, for an array of rates with one row per layout.  A layout
+    whose clamped regions leave no budget (or no key mass) raises
+    :class:`InfeasibleError` alone and gets a row of NaN in a batch.
     """
-    g, h = _positive_masses(key_mass, nonkey_mass)
+    g, h, batch = _positive_masses(key_mass, nonkey_mass)
     if not (0.0 < target_fpr < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
 
-    def free_rates(free, g_clamped, h_clamped):
-        if not free:
-            if h_clamped > target_fpr:
-                raise InfeasibleError(
-                    f"clamped regions alone carry rate {h_clamped:.6g} > "
-                    f"target {target_fpr:.6g}"
-                )
-            return []
+    def free_rates(rows, free, g_clamped, h_clamped):
         budget = target_fpr - h_clamped
         head_room = 1.0 - g_clamped
-        if budget <= 0.0 or head_room <= 0.0:
-            raise InfeasibleError(
-                f"cannot meet target rate {target_fpr:.6g}: clamped regions "
-                f"already carry {h_clamped:.6g}"
-            )
-        return [g[i] * budget / (h[i] * head_room) for i in free]
+        rates = np.empty((len(rows), g.shape[1]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
+                rates[:, i] = g[rows, i] * budget / (h[rows, i] * head_room)
+        feasible = np.where(
+            free.any(axis=1), (budget > 0.0) & (head_room > 0.0), h_clamped <= target_fpr
+        )
+        return rates, feasible
 
-    return _clamped_rates(g, h, free_rates)
+    fprs, clamped, _, h_clamped = _clamped_rates(g, h, free_rates)
+
+    def error():
+        if clamped[0].all():
+            return InfeasibleError(
+                f"clamped regions alone carry rate {h_clamped[0]:.6g} > "
+                f"target {target_fpr:.6g}"
+            )
+        return InfeasibleError(
+            f"cannot meet target rate {target_fpr:.6g}: clamped regions "
+            f"already carry {h_clamped[0]:.6g}"
+        )
+
+    return _one_or_batch(fprs, batch, error)
 
 
 def optimal_fprs_for_memory(
     key_mass, nonkey_mass, memory_bits: float, scaled_keys: float
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """Per-region rates spending a bit budget with minimal expected rate.
 
     The unclamped optimum is f_i = 2^(-beta) * G_i / H_i with
     beta = (M + c|S| * K) / (c|S|), K being the summed G*log2(G/H) of the
     rates still in play; clamping and re-solving proceeds as in the rate
     framework, and a region whose G/H overflows to +inf clamps first.  A
-    budget of 0 simply clamps everything to 1.  Raises
-    :class:`InfeasibleError` when the clamped regions leave no key mass.
+    budget of 0 simply clamps everything to 1.
+
+    The masses are one layout's regions, for a list of rates, or a (layouts x
+    regions) batch, for an array of rates with one row per layout.  A layout
+    whose clamped regions leave no key mass raises :class:`InfeasibleError`
+    alone and gets a row of NaN in a batch.
     """
-    g, h = _positive_masses(key_mass, nonkey_mass)
+    g, h, batch = _positive_masses(key_mass, nonkey_mass)
     if memory_bits < 0:
         raise ValidationError("memory_bits must be nonnegative")
     if not (scaled_keys > 0):
         raise ValidationError("scaled_keys must be positive")
+    with np.errstate(over="ignore"):
+        ratio = g / h
+    overflowed = ratio == inf
+    divergences = g * _log2(ratio)
+    del ratio  # a large batch's working set stays smaller without it
 
-    def free_rates(free, g_clamped, _h_clamped):
-        if not free:
-            return []
+    def free_rates(rows, free, g_clamped, _h_clamped):
         head_room = 1.0 - g_clamped
-        if head_room <= 0.0:
-            raise InfeasibleError(
-                f"cannot spend {memory_bits:.6g} bits: clamped regions "
-                f"already carry key mass {g_clamped:.6g}"
-            )
-        k_sum = sum(g[i] * log2(g[i] / h[i]) for i in free)
-        if k_sum == inf:
-            # a region whose G/H overflowed would make beta infinite for all:
-            # it clamps to 1 first (any rate above 1 does) and the rest, given
-            # placeholders here, are re-solved without it
-            return [inf if g[i] / h[i] == inf else 0.0 for i in free]
-        beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
-        # 2**1023 is the largest finite power of two: capping the exponent
-        # turns a beta below -1023 into rates far above 1, which clamp
-        scale = 2.0 ** min(-beta, 1023.0)
-        return [scale * g[i] / h[i] for i in free]
+        k_sum = _row_sums(divergences[rows], free)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
+            # 2**1023 is the largest finite power of two: capping the exponent
+            # turns a beta below -1023 into rates far above 1, which clamp
+            exponents = np.minimum(-beta, 1023.0)
+            scale = np.fromiter((2.0 ** float(e) for e in exponents), np.float64, len(exponents))
+            rates = np.empty((len(rows), g.shape[1]))
+            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
+                rates[:, i] = scale * g[rows, i] / h[rows, i]
+        # a region whose G/H overflowed would make beta infinite for all: it
+        # clamps to 1 first (any rate above 1 does) and the rest, given
+        # placeholders here, are re-solved without it
+        overflow = k_sum == inf
+        rates[overflow] = np.where(overflowed[rows[overflow]], inf, 0.0)
+        return rates, ~free.any(axis=1) | (head_room > 0.0)
 
-    return _clamped_rates(g, h, free_rates)
-
-
-def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float:
-    """Total backing-filter memory: sum of c|S| * G_i * log2(1 / f_i) bits."""
-    total = 0.0
-    for gi, fi in zip(key_mass, fprs):
-        if fi < 1.0 and gi > 0.0:
-            total += scaled_keys * gi * -log2(fi)
-    return total
+    fprs, _, g_clamped, _ = _clamped_rates(g, h, free_rates)
+    return _one_or_batch(fprs, batch, lambda: InfeasibleError(
+        f"cannot spend {memory_bits:.6g} bits: clamped regions "
+        f"already carry key mass {g_clamped[0]:.6g}"
+    ))
 
 
-def expected_fpr(nonkey_mass, fprs) -> float:
-    """Overall false-positive rate implied by per-region rates: sum H_i * f_i."""
-    return float(sum(hi * fi for hi, fi in zip(nonkey_mass, fprs)))
+def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
+    """Total backing-filter memory: sum of c|S| * G_i * log2(1 / f_i) bits.
+
+    One layout's masses and rates give a float; a (layouts x regions) batch
+    gives one total per row, NaN where the row's rates are NaN.
+    """
+    g = np.asarray(key_mass, dtype=np.float64)
+    f = np.asarray(fprs, dtype=np.float64)
+    stores = (f < 1.0) & (g > 0.0) | np.isnan(f)
+    bits = _log2(np.where(stores, f, 1.0))
+    np.negative(bits, out=bits)
+    bits *= scaled_keys * g
+    total = _row_sums(np.atleast_2d(bits), np.atleast_2d(stores))
+    return total if f.ndim == 2 else float(total[0])
+
+
+def expected_fpr(nonkey_mass, fprs) -> float | np.ndarray:
+    """Overall false-positive rate implied by per-region rates: sum H_i * f_i.
+
+    One layout's masses and rates give a float; a (layouts x regions) batch
+    gives one rate per row.
+    """
+    f = np.asarray(fprs, dtype=np.float64)
+    total = _row_sums(np.atleast_2d(np.asarray(nonkey_mass, dtype=np.float64) * f))
+    return total if f.ndim == 2 else float(total[0])
 
 
 def _rates_and_score(config, scaled, key_mass, nonkey_mass):
@@ -340,52 +423,57 @@ def solve_timed(
     dist = ensure_positive_masses(dist)
     scaled = config.effective_scaled_keys(dist)
     n, k = dist.n_segments, config.n_regions
-    gp = dist.g_prefix.tolist()
-    hp = dist.h_prefix.tolist()
     started = time.perf_counter()
 
-    per_start = config.algorithm == "plbf"
-    if per_start:
+    if config.algorithm == "plbf":
         # re-plan from scratch for every final-region start: the cubic baseline
         builder = _TableBuilder(dist)
-    else:
-        table = planning_table(dist, config)
-    dp_seconds = time.perf_counter() - started
-
-    starts = range(k, n + 1)
-    if config.algorithm == "relaxed":
-        # the one start whose layout has the most divergence, regardless of
-        # the rate cap; clamping still applies to the rates after
-        values = table.values[:, k - 1].tolist()
-        starts = [max(starts, key=lambda j: values[j - 1] + divergence(dist, j, n))]
-    best = None
-    for j in starts:
-        if per_start:
+        dp_seconds = time.perf_counter() - started
+        layouts = []
+        for j in range(k, n + 1):
             t0 = time.perf_counter()
             table = builder.build(j, k)
             dp_seconds += time.perf_counter() - t0
-        if table.values[j - 1, k - 1] == float("-inf"):
-            continue  # this start is unreachable for the approximate table
-        bounds = tuple([0] + trace_boundaries(table, j, k) + [n])
-        key_mass = [gp[b] - gp[a] for a, b in zip(bounds, bounds[1:])]
-        nonkey_mass = [hp[b] - hp[a] for a, b in zip(bounds, bounds[1:])]
-        if 0.0 in key_mass or 0.0 in nonkey_mass:
-            # prefix sums never decrease, so a region that cancellation
-            # emptied has mass exactly 0 and no closed-form rate
-            continue
-        fprs, score = _rates_and_score(config, scaled, key_mass, nonkey_mass)
-        if best is None or score < best[0]:
-            best = (score, bounds, fprs, key_mass, nonkey_mass)
-    if best is None:
+            if table.values[j - 1, k - 1] != NEG_INF:
+                layouts.append([0, *trace_boundaries(table, j, k), n])
+        bounds = np.array(layouts, dtype=np.int64).reshape(-1, k + 1)
+    else:
+        table = planning_table(dist, config)
+        dp_seconds = time.perf_counter() - started
+        starts = range(k, n + 1)
+        if config.algorithm == "relaxed":
+            # the one start whose layout has the most divergence, regardless of
+            # the rate cap; clamping still applies to the rates after
+            values = table.values[:, k - 1].tolist()
+            starts = [max(starts, key=lambda j: values[j - 1] + divergence(dist, j, n))]
+        starts = np.array(starts)
+        # a start the approximate table cannot reach has no layout
+        bounds = trace_layouts(table, starts[table.values[starts - 1, k - 1] != NEG_INF], k)
+    del table  # no longer needed: the rate solves below peak lower without it
+
+    key_mass = np.diff(dist.g_prefix[bounds])
+    nonkey_mass = np.diff(dist.h_prefix[bounds])
+    # prefix sums never decrease, so a region that cancellation emptied has
+    # mass exactly 0 and no closed-form rate
+    solvable = (key_mass != 0.0).all(axis=1) & (nonkey_mass != 0.0).all(axis=1)
+    bounds = bounds[solvable]
+    key_mass = key_mass[solvable]
+    nonkey_mass = nonkey_mass[solvable]
+    fprs, scores = _rates_and_score(config, scaled, key_mass, nonkey_mass)
+    feasible = np.flatnonzero(~np.isnan(scores))
+    if not feasible.size:
+        if len(bounds):
+            # every layout is infeasible: the first one's own error says why
+            _rates_and_score(config, scaled, key_mass[0], nonkey_mass[0])
         raise InfeasibleError("no feasible region layout")
-    score, bounds, fprs, key_mass, nonkey_mass = best
+    best = feasible[np.argmin(scores[feasible])]  # ties go to the smallest start
     plan = RegionPlan(
         n_regions=k,
-        boundaries=bounds,
-        fprs=tuple(fprs),
-        key_mass=tuple(key_mass),
-        nonkey_mass=tuple(nonkey_mass),
-        objective=score,
+        boundaries=tuple(bounds[best].tolist()),
+        fprs=tuple(fprs[best].tolist()),
+        key_mass=tuple(key_mass[best].tolist()),
+        nonkey_mass=tuple(nonkey_mass[best].tolist()),
+        objective=float(scores[best]),
         framework=config.framework,
         algorithm=config.algorithm,
     )

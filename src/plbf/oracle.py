@@ -16,7 +16,7 @@ from math import inf, log2
 import numpy as np
 
 from .distribution import SegmentedDistribution
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 from .optimizer import (
     BuildConfig,
     RegionPlan,
@@ -102,8 +102,10 @@ def naive_row_maxima(matrix) -> list[tuple[int, float]]:
 def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
     """Reference planner: enumerate every clustering at every final-region start.
 
-    Mirrors the solver's selection rule (minimize the framework objective,
-    ties to the smallest final-region start) but never touches the DP tables.
+    Mirrors the solver's selection rule (skip infeasible layouts, minimize the
+    framework objective, ties to the smallest final-region start; when every
+    layout is infeasible, raise the first one's error) but never touches the
+    DP tables.
     The size caps are those of :func:`best_clustering_exhaustive`.
     """
     n, k = dist.n_segments, config.n_regions
@@ -111,22 +113,28 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
     dist = ensure_positive_masses(dist)
     scaled = config.effective_scaled_keys(dist)
     best = None
+    errors = []
     for j in range(k, n + 1):
         _, ends = best_clustering_exhaustive(dist, j, k)
         bounds = (0,) + ends + (n,)
         key_mass = [float(np.sum(dist.g[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         nonkey_mass = [float(np.sum(dist.h[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-        if config.framework == "fpr":
-            fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
-            score = bloom_memory_bits(key_mass, fprs, scaled)
-        else:
-            fprs = optimal_fprs_for_memory(
-                key_mass, nonkey_mass, config.memory_bits, scaled
-            )
-            score = expected_fpr(nonkey_mass, fprs)
+        try:
+            if config.framework == "fpr":
+                fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
+                score = bloom_memory_bits(key_mass, fprs, scaled)
+            else:
+                fprs = optimal_fprs_for_memory(
+                    key_mass, nonkey_mass, config.memory_bits, scaled
+                )
+                score = expected_fpr(nonkey_mass, fprs)
+        except InfeasibleError as exc:
+            errors.append(exc)
+            continue
         if best is None or score < best[0]:
             best = (score, bounds, fprs, key_mass, nonkey_mass)
-    assert best is not None
+    if best is None:
+        raise errors[0]
     score, bounds, fprs, key_mass, nonkey_mass = best
     return RegionPlan(
         n_regions=k,

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -31,7 +33,7 @@ from plbf import (
     zipfian_distribution,
 )
 from plbf.optimizer import FPR_FLOOR
-from plbf.oracle import best_clustering_exhaustive
+from plbf.oracle import best_clustering_exhaustive, exhaustive_plan
 
 
 class TestOptimalFprsForFpr:
@@ -182,6 +184,13 @@ class TestSpaceAndRate:
         assert bloom_memory_bits([1.0], [0.5], 1000.0) == 1000.0
         assert bloom_memory_bits([0.5, 0.5], [0.25, 1.0], 1000.0) == 1000.0
         assert bloom_memory_bits([1.0], [1.0], 12345.0) == 0.0
+
+    def test_memory_takes_math_log2(self):
+        # np.log2 can round this one to -0.2857627582306667, one ULP off math.log2
+        rate = 0.8203077943609558
+        assert bloom_memory_bits([1.0], [rate], 1.0) == -math.log2(rate)
+        batch = bloom_memory_bits(np.array([[1.0]]), np.array([[rate]]), 1.0)
+        assert batch.tolist() == [-math.log2(rate)]
 
     def test_expected_rate(self):
         assert expected_fpr([0.25, 0.75], [1.0, 1.0]) == 1.0
@@ -439,6 +448,40 @@ class TestSolve:
             with pytest.raises(InfeasibleError):
                 solve(d, config)
 
+    def test_an_infeasible_layout_is_skipped(self):
+        # starts 3 and 4 clamp a first region that holds all the key mass,
+        # which leaves the other region no head room; start 2's layout
+        # meets the target
+        d = SegmentedDistribution.from_masses([0, 3, 0, 0], [0, 0, 0, 3], n_keys=100)
+        for algo in ("plbf", "fast", "fastpp"):
+            plan = solve(d, BuildConfig("fpr", 4, 2, algorithm=algo, target_fpr=0.01))
+            assert plan.boundaries == (0, 1, 4), algo
+            assert plan.fprs == (0.01, 0.010000000000000002), algo
+        assert exhaustive_plan(d, BuildConfig("fpr", 4, 2, target_fpr=0.01)).boundaries == (
+            0, 1, 4,
+        )
+        # relaxed's one layout starts its final region at 3
+        with pytest.raises(InfeasibleError, match="already carry 2e-12$"):
+            solve(d, BuildConfig("fpr", 4, 2, algorithm="relaxed", target_fpr=0.01))
+
+    def test_when_every_layout_is_infeasible_the_first_ones_error_is_raised(self):
+        d = SegmentedDistribution.from_masses([1, 0, 0, 0], [0, 0, 0, 1], n_keys=1000)
+        floored = ensure_positive_masses(d)
+        first = (0, 1, 2, 4)  # the layout of the smallest final-region start
+        masses = [
+            [float(prefix[b] - prefix[a]) for a, b in zip(first, first[1:])]
+            for prefix in (floored.g_prefix, floored.h_prefix)
+        ]
+        with pytest.raises(InfeasibleError) as alone:
+            optimal_fprs_for_memory(*masses, 1e-8, 1000 * LOG2_E)
+        config = BuildConfig("memory", 4, 3, memory_bits=1e-8)
+        for algo in ("plbf", "fast", "fastpp"):
+            with pytest.raises(InfeasibleError) as raised:
+                solve(d, dataclasses.replace(config, algorithm=algo))
+            assert str(raised.value) == str(alone.value), algo
+        with pytest.raises(InfeasibleError, match="cannot spend 1e-08 bits"):
+            exhaustive_plan(d, config)
+
     def test_planning_table_per_algorithm(self):
         d = random_distribution(np.random.default_rng(9), 12)
         base = dict(framework="fpr", n_segments=12, n_regions=3, target_fpr=0.05)
@@ -538,3 +581,102 @@ class TestPlanSerialization:
     def test_document_that_is_not_an_object_rejected(self):
         with pytest.raises(ValidationError, match="malformed plan document"):
             plan_from_dict([plan_to_dict(self._sample_plan())])
+
+
+def pinned_histograms():
+    """Sixty seeded sparse, skewed histograms, each with a region count and budgets.
+
+    Masses are ``u ** p`` with p up to 30 and a share zeroed, as in the
+    property tests; histograms with no key or no non-key mass are redrawn.
+    """
+    rng = np.random.default_rng(20260)
+    cases = []
+    while len(cases) < 60:
+        n = int(rng.integers(3, 31))
+        g, h = (rng.uniform(size=n) ** rng.uniform(1.0, 30.0) for _ in range(2))
+        g[rng.uniform(size=n) < 0.4] = 0.0
+        h[rng.uniform(size=n) < 0.3] = 0.0
+        k = int(rng.integers(2, n))
+        n_keys = int(rng.integers(1, 10**5))
+        target_fpr = float(10 ** rng.uniform(-5.0, -0.05))
+        memory_bits = float(n_keys * 10 ** rng.uniform(-2.0, 1.3))
+        if g.sum() > 0 and h.sum() > 0:
+            d = SegmentedDistribution.from_masses(g, h, n_keys=n_keys)
+            cases.append((d, k, target_fpr, memory_bits))
+    return cases
+
+
+class TestPlanPins:
+    """Plans of every planner under both frameworks stay byte-identical.
+
+    Each pin is the sha256 of the canonical ``plan_to_dict`` JSON of the
+    plans for :func:`pinned_histograms`, one line per histogram, leaving out
+    the histograms listed beside it, where that planner raised
+    :class:`InfeasibleError` when the pins were taken (some of them now get a
+    plan, because an infeasible layout no longer aborts the sweep).
+    """
+
+    PINS = {
+        ("plbf", "fpr"): (
+            "65cdbc05fa4a39103a55f0977e44a68bd2a55a0650fd607880a8a18b8637ca97",
+            (
+                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
+                50, 51, 53, 55,
+            ),
+        ),
+        ("plbf", "memory"): (
+            "b4f5244465b89d2e7362c57a827bed68d34dcab1ac7bbacb830ac4cd52e125a3",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
+        ),
+        ("fast", "fpr"): (
+            "65cdbc05fa4a39103a55f0977e44a68bd2a55a0650fd607880a8a18b8637ca97",
+            (
+                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
+                50, 51, 53, 55,
+            ),
+        ),
+        ("fast", "memory"): (
+            "b4f5244465b89d2e7362c57a827bed68d34dcab1ac7bbacb830ac4cd52e125a3",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
+        ),
+        ("fastpp", "fpr"): (
+            "d92a7f90429d4bcaeb0da8c6759a9528c78632988c2ac60c6ecd35e6de55be83",
+            (
+                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
+                50, 51, 53, 55,
+            ),
+        ),
+        ("fastpp", "memory"): (
+            "69a499397ac06160d722367dafd27b2303f67840a61fc9345461dea00460f276",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
+        ),
+        ("relaxed", "fpr"): (
+            "48480637f0adbb26f6970d732331867a150ccabce300b879f27c0b5cb862e888",
+            (
+                0, 2, 4, 5, 7, 8, 10, 15, 19, 21, 22, 25, 26, 27, 33, 35, 36, 38, 39, 40,
+                41, 42, 43, 44, 46, 49, 50, 52, 53, 55,
+            ),
+        ),
+        ("relaxed", "memory"): (
+            "2b1372eed1b653741ea266f6e02ddb16021471dfd7a6b6a4863af24ec5ad2d77",
+            (
+                0, 2, 4, 5, 7, 8, 10, 15, 19, 21, 22, 25, 26, 27, 33, 35, 38, 39, 40, 41,
+                42, 44, 46, 50, 52, 53, 55,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("framework", ["fpr", "memory"])
+    def test_plans_match_pins(self, algorithm, framework):
+        digest, left_out = self.PINS[algorithm, framework]
+        lines = []
+        for i, (d, k, target_fpr, memory_bits) in enumerate(pinned_histograms()):
+            if i in left_out:
+                continue
+            budget = {"fpr": dict(target_fpr=target_fpr), "memory": dict(memory_bits=memory_bits)}
+            plan = solve(d, BuildConfig(
+                framework, d.n_segments, k, algorithm=algorithm, **budget[framework]
+            ))
+            lines.append(json.dumps(plan_to_dict(plan), sort_keys=True))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

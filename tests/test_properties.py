@@ -9,23 +9,31 @@ Runs are derandomized so the suite stays deterministic.
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plbf import (
     ALGORITHMS,
+    LOG2_E,
     BuildConfig,
     InfeasibleError,
     SegmentedDistribution,
+    bloom_memory_bits,
     build_filter,
     divergence_table,
+    divergence_table_monotone,
     ensure_positive_masses,
+    expected_fpr,
     load_filter,
+    optimal_fprs_for_fpr,
+    optimal_fprs_for_memory,
     sample_records,
     segment_scores,
     solve,
+    trace_boundaries,
 )
-from plbf.dp import _TableBuilder
+from plbf.dp import NEG_INF, _TableBuilder, trace_layouts
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -89,6 +97,65 @@ def test_per_start_tables_are_windows_of_the_full_table(case):
             table = builder.build(j, k)
             assert table.values.tobytes() == full.values[:j].tobytes()
             assert table.parents.tobytes() == full.parents[:j].tobytes()
+
+
+def reachable_starts(table, k):
+    return [j for j in range(k, table.n_rows + 1) if table.values[j - 1, k - 1] != NEG_INF]
+
+
+@PROPERTY_SETTINGS
+@given(case=planning_inputs())
+def test_traced_layouts_match_one_walk_per_start(case):
+    raw = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    k = case["n_regions"]
+    for d in (raw, ensure_positive_masses(raw)):
+        for table in (divergence_table(d, k), divergence_table_monotone(d, k)):
+            starts = reachable_starts(table, k)
+            layouts = trace_layouts(table, starts, k).tolist()
+            assert layouts == [[0, *trace_boundaries(table, j, k), d.n_segments] for j in starts]
+
+
+@PROPERTY_SETTINGS
+@given(case=planning_inputs())
+def test_batched_rates_equal_one_call_per_layout(case):
+    # the layouts a sweep rate-solves: every reachable start of the table;
+    # each batch row must be the one-layout result to the bit, and NaN
+    # exactly where the one-layout call raises
+    d = ensure_positive_masses(
+        SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    )
+    k = case["n_regions"]
+    table = divergence_table(d, k)
+    bounds = trace_layouts(table, reachable_starts(table, k), k)
+    key_mass, nonkey_mass = np.diff(d.g_prefix[bounds]), np.diff(d.h_prefix[bounds])
+    solvable = (key_mass != 0.0).all(axis=1) & (nonkey_mass != 0.0).all(axis=1)
+    key_mass, nonkey_mass = key_mass[solvable], nonkey_mass[solvable]
+    scaled = LOG2_E * d.n_keys
+    solvers = {
+        "fpr": lambda gm, hm: optimal_fprs_for_fpr(gm, hm, case["target_fpr"]),
+        "memory": lambda gm, hm: optimal_fprs_for_memory(gm, hm, case["memory_bits"], scaled),
+    }
+
+    def score(framework, gm, hm, fprs):
+        if framework == "fpr":
+            return bloom_memory_bits(gm, fprs, scaled)
+        return expected_fpr(hm, fprs)
+
+    for framework, rates in solvers.items():
+        batch = rates(key_mass, nonkey_mass)
+        assert batch.shape == key_mass.shape
+        scores = score(framework, key_mass, nonkey_mass, batch)
+        for row, (gm, hm) in enumerate(zip(key_mass.tolist(), nonkey_mass.tolist())):
+            try:
+                one = rates(gm, hm)
+            except InfeasibleError:
+                assert np.isnan(batch[row]).all(), (framework, row)
+                assert np.isnan(scores[row]), (framework, row)
+                continue
+            assert isinstance(one, list)
+            assert np.array(one).tobytes() == batch[row].tobytes(), (framework, row)
+            alone = score(framework, gm, hm, one)
+            assert np.float64(alone).tobytes() == scores[row].tobytes(), (framework, row)
 
 
 @PROPERTY_SETTINGS

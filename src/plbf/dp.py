@@ -11,14 +11,16 @@ clustering exists.
 
 Two builders produce these tables:
 
-* :func:`divergence_table` fills the whole table bottom-up, one column per
-  region count, in O(N^2 k) work over one divergence matrix computed once.
+* :func:`divergence_table` fills the whole table in O(N^2 k) work, in blocks
+  of rows: each block computes its slab of the divergence matrix once and
+  fills every column for its rows, so scratch memory is O(block * N).
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
-  conquer in O(N log N) evaluations per column.  Exact when the candidate
-  matrices are monotone (argmax column non-decreasing by row), which holds
-  whenever the score distribution is ideal; otherwise entries can fall below
-  the exhaustive table, never above.
+  conquer in O(N log N) evaluations per column, evaluated one recursion
+  level at a time: O(log N) array calls per column.  Exact when the
+  candidate matrices are monotone (argmax column non-decreasing by row),
+  which holds whenever the score distribution is ideal; otherwise entries
+  can fall below the exhaustive table, never above.
 
 All functions are pure; tables are immutable once returned.
 """
@@ -26,7 +28,9 @@ All functions are pure; tables are immutable once returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import inf, log2
+from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -47,13 +51,33 @@ def divergence(dist: SegmentedDistribution, first: int, last: int) -> float:
         raise ValidationError(
             f"segment range {first}..{last} out of bounds for {dist.n_segments} segments"
         )
-    sg = float(dist.g_prefix[last] - dist.g_prefix[first - 1])
-    if sg <= 0.0:
-        return 0.0
-    sh = float(dist.h_prefix[last] - dist.h_prefix[first - 1])
-    if sh <= 0.0:
-        return inf
-    return sg * log2(sg / sh)
+    return float(divergences(dist, first - 1, last))
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP.
+
+    A memoryview hands out one Python float at a time, as fast as a list
+    would and without holding them all.
+    """
+    return np.fromiter(map(log2, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
+
+
+def divergences(dist: SegmentedDistribution, lo, hi) -> np.ndarray:
+    """:func:`divergence` of segments lo+1..hi, elementwise over index arrays.
+
+    The ranges are not checked.  Each entry takes ``math.log2``, whatever
+    numpy's own log2 does on this CPU.
+    """
+    sg = np.asarray(dist.g_prefix[hi] - dist.g_prefix[lo])
+    sh = np.asarray(dist.h_prefix[hi] - dist.h_prefix[lo])
+    has_keys = sg > 0.0
+    out = np.where(has_keys, inf, 0.0)  # no key mass: 0; no non-key mass: +inf
+    live = has_keys & (sh > 0.0)
+    sg, sh = sg[live], sh[live]
+    with np.errstate(over="ignore"):  # G / H can overflow to +inf, as in divergence()
+        out[live] = sg * _log2(sg / sh)
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,29 +103,37 @@ class DPTable:
 
 
 class MatrixLike(Protocol):
-    """Evaluation contract for implicit matrices: entries on demand, no storage."""
+    """Evaluation contract for implicit matrices: entries on demand, no storage.
+
+    ``value`` works elementwise: given equal-shape integer arrays of rows and
+    columns it returns the float64 array of their entries, and given two
+    ints, one float.  Entries are never NaN.
+    """
 
     row_count: int
     col_count: int
 
-    def value(self, row: int, col: int) -> float:  # pragma: no cover - protocol
+    def value(self, row, col):  # pragma: no cover - protocol
         ...
 
 
 class DenseMatrix:
     """Adapter exposing a 2-D sequence through the matrix protocol."""
 
-    __slots__ = ("_rows", "row_count", "col_count")
+    __slots__ = ("_values", "row_count", "col_count")
 
     def __init__(self, rows) -> None:
-        self._rows = [list(map(float, row)) for row in rows]
-        self.row_count = len(self._rows)
-        self.col_count = len(self._rows[0]) if self._rows else 0
-        if any(len(r) != self.col_count for r in self._rows):
+        rows = [np.asarray(row, dtype=np.float64) for row in rows]
+        self.row_count = len(rows)
+        self.col_count = len(rows[0]) if rows else 0
+        if any(r.shape != (self.col_count,) for r in rows):
             raise ValidationError("ragged rows")
+        self._values = np.array(rows).reshape(self.row_count, self.col_count)
+        if np.isnan(self._values).any():
+            raise ValidationError("NaN entry: the matrix protocol has none")
 
-    def value(self, row: int, col: int) -> float:
-        return self._rows[row][col]
+    def value(self, row, col):
+        return self._values[row, col]
 
 
 class TransitionMatrix:
@@ -111,31 +143,23 @@ class TransitionMatrix:
     ``row + 1`` having started it at segment ``col + 1``: the previous
     column's value for the shorter prefix plus the region's divergence.
     Starting past the end (col > row) is -inf, as is any start whose prefix
-    was itself unreachable.
+    was itself unreachable.  An array ``prev_column`` is read, not copied.
     """
 
-    __slots__ = ("_gp", "_hp", "_prev", "row_count", "col_count")
+    __slots__ = ("_dist", "_prev", "row_count", "col_count")
 
     def __init__(self, dist: SegmentedDistribution, prev_column) -> None:
-        self._gp = dist.g_prefix.tolist()
-        self._hp = dist.h_prefix.tolist()
-        self._prev = list(prev_column)
+        self._dist = dist
+        self._prev = np.asarray(prev_column, dtype=np.float64)
         self.row_count = dist.n_segments - 1
         self.col_count = dist.n_segments - 1
 
-    def value(self, row: int, col: int) -> float:
-        if col > row:
-            return NEG_INF
-        prev = self._prev[col]
-        if prev == NEG_INF:
-            return NEG_INF
-        sg = self._gp[row + 1] - self._gp[col]
-        if sg <= 0.0:
-            return prev
-        sh = self._hp[row + 1] - self._hp[col]
-        if sh <= 0.0:
-            return inf
-        return prev + sg * log2(sg / sh)
+    def value(self, row, col):
+        rows, cols = np.asarray(row), np.asarray(col)
+        out = np.where(cols > rows, NEG_INF, self._prev[cols])
+        reach = out != NEG_INF
+        out[reach] += divergences(self._dist, cols[reach], rows[reach] + 1)
+        return out if out.ndim else float(out)
 
 
 def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
@@ -146,90 +170,119 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
     O(n + m log n) evaluations for n rows and m columns.  Ties take the
     smallest column.  On non-monotone input the result may be any column
     whose value is >= the entries the scan actually visited.
+
+    The recursion runs one level at a time: every pending (row range, column
+    range) segment contributes its middle row's cells to one
+    ``matrix.value`` call, so a solve makes O(log n) calls.
     """
     n, m = matrix.row_count, matrix.col_count
-    out: list[tuple[int, float]] = [(0, NEG_INF)] * n
     if n == 0 or m == 0:
-        return out
-    value = matrix.value
-    # an explicit stack, not a recursive closure: a closure that calls itself
-    # is a reference cycle that would keep ``matrix`` alive after the return
-    stack = [(0, n - 1, 0, m - 1)]
-    while stack:
-        r_lo, r_hi, c_lo, c_hi = stack.pop()
-        if r_lo > r_hi:
-            continue
+        return [(0, NEG_INF)] * n
+    best_cols = np.zeros(n, dtype=np.int64)
+    best_vals = np.full(n, NEG_INF)
+    # the pending segments: row ranges r_lo..r_hi, column ranges c_lo..c_hi
+    r_lo, r_hi = np.array([0]), np.array([n - 1])
+    c_lo, c_hi = np.array([0]), np.array([m - 1])
+    while r_lo.size:
         mid = (r_lo + r_hi) >> 1
-        best_c = c_lo
-        best_v = value(mid, c_lo)
-        for c in range(c_lo + 1, c_hi + 1):
-            v = value(mid, c)
-            if v > best_v:
-                best_v = v
-                best_c = c
-        out[mid] = (best_c, best_v)
-        # the upper half is pushed first so the lower half is solved first
-        stack.append((mid + 1, r_hi, best_c, c_hi))
-        stack.append((r_lo, mid - 1, c_lo, best_c))
-    return out
+        width = c_hi - c_lo + 1
+        offsets = np.cumsum(width) - width
+        cols = np.arange(offsets[-1] + width[-1]) - np.repeat(offsets - c_lo, width)
+        vals = np.asarray(matrix.value(np.repeat(mid, width), cols), dtype=np.float64)
+        seg_max = np.maximum.reduceat(vals, offsets)
+        # each segment's first cell holding its maximum
+        hits = np.flatnonzero(vals == np.repeat(seg_max, width))
+        arg = cols[hits[np.searchsorted(hits, offsets)]]
+        best_cols[mid] = arg
+        best_vals[mid] = seg_max
+        # the rows above the middle one keep columns up to its argmax, the
+        # rows below keep columns from it on; empty row ranges drop out
+        r_lo, r_hi, c_lo, c_hi = (
+            np.concatenate((r_lo, mid + 1)),
+            np.concatenate((mid - 1, r_hi)),
+            np.concatenate((c_lo, arg)),
+            np.concatenate((arg, c_hi)),
+        )
+        keep = r_lo <= r_hi
+        r_lo, r_hi, c_lo, c_hi = r_lo[keep], r_hi[keep], c_lo[keep], c_hi[keep]
+    return list(zip(best_cols.tolist(), best_vals.tolist()))
 
 
-def _fill_columns(n_rows: int, n_cols: int, row_maxima) -> DPTable:
-    """The column loop every table builder shares.
-
-    ``row_maxima(prev)`` receives a contiguous copy of the previous column
-    and returns, for rows 1..n_rows-1, each row's best value and the 0-based
-    start segment achieving it; unreachable rows carry -inf.
-    """
+def _new_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.full((n_rows, n_cols), NEG_INF, dtype=np.float64)
     parents = np.full((n_rows, n_cols), -1, dtype=np.int32)
     values[0, 0] = 0.0
-    if n_rows < 2:
-        return DPTable(values, parents)
-    prev = values[:, 0].copy()
-    for q in range(1, n_cols):
-        col_vals, col_args = row_maxima(prev)
-        values[1:, q] = col_vals
-        parents[1:, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
-        prev = values[:, q].copy()
-    return DPTable(values, parents)
+    return values, parents
+
+
+def _fill_columns(values, parents, a: int, b: int, row_maxima) -> None:
+    """Fill rows a..b-1 of every column after the first, column by column.
+
+    ``row_maxima(prev)`` receives rows 0..b-2 of the previous column, final
+    by then, as a contiguous copy.  It returns, for rows a..b-1, each row's
+    best value and the 0-based start segment achieving it; unreachable rows
+    carry -inf.
+    """
+    for q in range(1, values.shape[1]):
+        col_vals, col_args = row_maxima(values[: b - 1, q - 1].copy())
+        values[a:b, q] = col_vals
+        parents[a:b, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
+        del col_vals, col_args  # not held through the next column's solve
+
+
+# Table rows per block of _TableBuilder: its scratch arrays hold this many
+# rows of the divergence matrix.
+BLOCK_ROWS = 256
 
 
 class _TableBuilder:
-    """Columnwise table construction over one divergence matrix.
+    """Table construction in row blocks over slabs of one divergence matrix.
 
-    A region's G * log2(G / H) depends only on the histogram, so the matrix
-    of every region's divergence (row: last segment, column: first, 0-based)
-    is computed once; a column update adds the previous column to its leading
-    square, so one instance serves every prefix length a sweep asks for.
+    Entry (r, c) of the divergence matrix is G * log2(G / H) of the region
+    of segments c + 1 .. r + 1 (1-based).  Table rows a..b-1 read only its
+    rows a-1..b-2, and of those only the first b - 1 columns, so each block
+    computes that slab once and then fills every column for its rows from
+    the previous column's first b - 1 entries.  One instance serves every
+    prefix length a sweep asks for.
     """
 
     def __init__(self, dist: SegmentedDistribution) -> None:
-        size = dist.n_segments - 1
-        gp = dist.g_prefix
-        hp = dist.h_prefix
-        g_mat = gp[1 : size + 1, None] - gp[None, :size]
-        div = hp[1 : size + 1, None] - hp[None, :size]
+        self._gp = dist.g_prefix
+        self._hp = dist.h_prefix
+
+    def build(self, n_rows: int, n_cols: int) -> DPTable:
+        values, parents = _new_table(n_rows, n_cols)
+        for a in range(1, n_rows, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, n_rows)
+            slab = self._slab(a, b)
+            _fill_columns(values, parents, a, b, partial(_scan, slab, np.empty_like(slab)))
+        return DPTable(values, parents)
+
+    def _slab(self, a: int, b: int) -> np.ndarray:
+        """Divergence-matrix rows a-1..b-2, columns 0..b-2."""
+        gp, hp = self._gp, self._hp
+        g_mat = gp[a:b, None] - gp[None, : b - 1]
+        div = hp[a:b, None] - hp[None, : b - 1]
         # a tiny non-key mass can overflow G / H to +inf, as in divergence()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(g_mat, div, out=div)
             np.log2(div, out=div)
             np.multiply(g_mat, div, out=div)
-        del g_mat  # before the masks below, which would otherwise raise the peak
-        div[np.triu(np.ones((size, size), dtype=bool), 1)] = NEG_INF  # start past the end
+        div[np.arange(b - 1) >= np.arange(a, b)[:, None]] = NEG_INF  # start past the end
         div[np.isnan(div)] = 0.0  # zero key mass contributes nothing
-        self._div = div
+        return div
 
-    def build(self, n_rows: int, n_cols: int) -> DPTable:
-        return _fill_columns(n_rows, n_cols, self._scan)
 
-    def _scan(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row maxima of one column by scanning every candidate start."""
-        size = prev.size - 1
-        with np.errstate(invalid="ignore"):
-            term = self._div[:size, :size] + prev[None, :size]
-        term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
-        return term.max(axis=1), term.argmax(axis=1)
+def _scan(slab: np.ndarray, term: np.ndarray, prev: np.ndarray):
+    """Row maxima of one block's column by scanning every candidate start.
+
+    ``term`` is scratch space of the slab's shape, reused for every column.
+    """
+    with np.errstate(invalid="ignore"):
+        np.add(slab, prev, out=term)
+    term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
+    args = term.argmax(axis=1)
+    return term[np.arange(args.size), args], args
 
 
 def _validate_regions(dist: SegmentedDistribution, n_regions: int) -> None:
@@ -256,12 +309,13 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     _validate_regions(dist, n_regions)
 
     def row_maxima(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # a list, not the array: numpy scalars would slow every entry lookup
-        maxima = monotone_row_maxima(TransitionMatrix(dist, prev.tolist()))
-        cols, vals = zip(*maxima)
-        return np.array(vals, dtype=np.float64), np.array(cols)
+        maxima = monotone_row_maxima(TransitionMatrix(dist, prev))
+        vals = np.fromiter(map(itemgetter(1), maxima), np.float64, len(maxima))
+        return vals, np.fromiter(map(itemgetter(0), maxima), np.int64, len(maxima))
 
-    return _fill_columns(dist.n_segments, n_regions, row_maxima)
+    values, parents = _new_table(dist.n_segments, n_regions)
+    _fill_columns(values, parents, 1, dist.n_segments, row_maxima)
+    return DPTable(values, parents)
 
 
 def trace_boundaries(table: DPTable, boundary_segment: int, n_regions: int) -> list[int]:

@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from math import inf, log2
+from itertools import repeat
+from math import inf
 
 import numpy as np
 
@@ -43,10 +44,11 @@ from .distribution import SegmentedDistribution
 from .dp import (
     NEG_INF,
     DPTable,
+    _log2,
     _TableBuilder,
-    divergence,
     divergence_table,
     divergence_table_monotone,
+    divergences,
     trace_boundaries,
     trace_layouts,
 )
@@ -217,11 +219,6 @@ def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP."""
-    return np.fromiter(map(log2, x.flat), np.float64, x.size).reshape(x.shape)
-
-
 def _clamped_rates(g: np.ndarray, h: np.ndarray, free_rates):
     """Clamp rates above 1 and re-solve the rest until all lie in (0, 1].
 
@@ -333,18 +330,19 @@ def optimal_fprs_for_memory(
     with np.errstate(over="ignore"):
         ratio = g / h
     overflowed = ratio == inf
-    divergences = g * _log2(ratio)
+    region_div = g * _log2(ratio)
     del ratio  # a large batch's working set stays smaller without it
 
     def free_rates(rows, free, g_clamped, _h_clamped):
         head_room = 1.0 - g_clamped
-        k_sum = _row_sums(divergences[rows], free)
+        k_sum = _row_sums(region_div[rows], free)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
             # 2**1023 is the largest finite power of two: capping the exponent
             # turns a beta below -1023 into rates far above 1, which clamp
             exponents = np.minimum(-beta, 1023.0)
-            scale = np.fromiter((2.0 ** float(e) for e in exponents), np.float64, len(exponents))
+            powers = map(pow, repeat(2.0), memoryview(exponents))  # 2.0 ** e, entry by entry
+            scale = np.fromiter(powers, np.float64, len(exponents))
             rates = np.empty((len(rows), g.shape[1]))
             for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
                 rates[:, i] = scale * g[rows, i] / h[rows, i]
@@ -440,13 +438,14 @@ def solve_timed(
     else:
         table = planning_table(dist, config)
         dp_seconds = time.perf_counter() - started
-        starts = range(k, n + 1)
+        starts = np.arange(k, n + 1)
         if config.algorithm == "relaxed":
             # the one start whose layout has the most divergence, regardless of
             # the rate cap; clamping still applies to the rates after
-            values = table.values[:, k - 1].tolist()
-            starts = [max(starts, key=lambda j: values[j - 1] + divergence(dist, j, n))]
-        starts = np.array(starts)
+            with np.errstate(invalid="ignore"):
+                totals = table.values[k - 1 : n, k - 1] + divergences(dist, starts - 1, n)
+            totals[np.isnan(totals)] = NEG_INF  # an unreachable prefix, an infinite tail
+            starts = starts[[np.argmax(totals)]]  # ties go to the smallest start
         # a start the approximate table cannot reach has no layout
         bounds = trace_layouts(table, starts[table.values[starts - 1, k - 1] != NEG_INF], k)
     del table  # no longer needed: the rate solves below peak lower without it

@@ -85,17 +85,16 @@ def best_clustering_exhaustive(
 
 
 def naive_row_maxima(matrix) -> list[tuple[int, float]]:
-    """Per-row (argmax column, value) by scanning every entry; smallest-index ties."""
+    """Per-row (argmax column, value) by scanning every entry; smallest-index ties.
+
+    One ``matrix.value`` call per row, over all of that row's columns.
+    """
+    cols = np.arange(matrix.col_count)
     out = []
     for row in range(matrix.row_count):
-        best_c = 0
-        best_v = matrix.value(row, 0)
-        for col in range(1, matrix.col_count):
-            v = matrix.value(row, col)
-            if v > best_v:
-                best_v = v
-                best_c = col
-        out.append((best_c, best_v))
+        vals = np.asarray(matrix.value(np.full(cols.size, row), cols), dtype=np.float64)
+        best = int(np.argmax(vals))
+        out.append((best, float(vals[best])))
     return out
 
 

@@ -182,6 +182,19 @@ class TestMonotoneRowMaxima:
             gc.enable()
 
 
+class TestDenseMatrix:
+    def test_rejects_ragged_rows_and_nan(self):
+        with pytest.raises(ValidationError):
+            DenseMatrix([[1.0], [1.0, 2.0]])
+        with pytest.raises(ValidationError):
+            DenseMatrix([[math.nan, 1.0], [2.0, 3.0]])
+
+    def test_value_is_elementwise(self):
+        matrix = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
+        assert matrix.value(1, 0) == 3.0
+        assert matrix.value(np.array([0, 1, 1]), np.array([1, 1, 0])).tolist() == [2.0, 4.0, 3.0]
+
+
 class TestTransitionMatrix:
     def test_entries_follow_the_recurrence(self):
         d = dyadic_dist()

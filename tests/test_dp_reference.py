@@ -1,0 +1,195 @@
+"""The array DP paths against test-local copies of the loops they replaced.
+
+The full and per-start tables are built in row blocks and the row-maxima
+solver runs one recursion level at a time; both must give what the plain
+algorithms give, byte for byte.  The references below are those plain
+algorithms: one (N-1)^2 divergence matrix scanned column by column, and the
+scalar divide-and-conquer loop over single-cell ``value`` calls.
+"""
+
+from math import inf, log2
+
+import numpy as np
+from conftest import CountingMatrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plbf import (
+    DenseMatrix,
+    SegmentedDistribution,
+    SyntheticSpec,
+    divergence_table,
+    divergence_table_monotone,
+    ensure_positive_masses,
+    monotone_row_maxima,
+    zipfian_distribution,
+)
+from plbf.dp import BLOCK_ROWS, NEG_INF, _TableBuilder
+
+REFERENCE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+def reference_table(dist, n_rows, n_cols):
+    """The full-matrix algorithm: one divergence matrix, one scan per column."""
+    size = dist.n_segments - 1
+    gp, hp = dist.g_prefix, dist.h_prefix
+    g_mat = gp[1 : size + 1, None] - gp[None, :size]
+    div = hp[1 : size + 1, None] - hp[None, :size]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(g_mat, div, out=div)
+        np.log2(div, out=div)
+        np.multiply(g_mat, div, out=div)
+    div[np.triu(np.ones((size, size), dtype=bool), 1)] = NEG_INF
+    div[np.isnan(div)] = 0.0
+    values = np.full((n_rows, n_cols), NEG_INF)
+    parents = np.full((n_rows, n_cols), -1, dtype=np.int32)
+    values[0, 0] = 0.0
+    prev = values[:, 0].copy()
+    for q in range(1, n_cols):
+        with np.errstate(invalid="ignore"):
+            term = div[: n_rows - 1, : n_rows - 1] + prev[None, : n_rows - 1]
+        term[np.isnan(term)] = NEG_INF
+        col_vals = term.max(axis=1)
+        values[1:, q] = col_vals
+        parents[1:, q] = np.where(col_vals == NEG_INF, -1, term.argmax(axis=1) + 1)
+        prev = values[:, q].copy()
+    return values, parents
+
+
+def reference_row_maxima(matrix):
+    """The scalar divide-and-conquer loop: one value() call per cell."""
+    n, m = matrix.row_count, matrix.col_count
+    out = [(0, NEG_INF)] * n
+    if n == 0 or m == 0:
+        return out
+    stack = [(0, n - 1, 0, m - 1)]
+    while stack:
+        r_lo, r_hi, c_lo, c_hi = stack.pop()
+        if r_lo > r_hi:
+            continue
+        mid = (r_lo + r_hi) >> 1
+        best_c, best_v = c_lo, matrix.value(mid, c_lo)
+        for c in range(c_lo + 1, c_hi + 1):
+            v = matrix.value(mid, c)
+            if v > best_v:
+                best_v, best_c = v, c
+        out[mid] = (best_c, float(best_v))
+        stack.append((mid + 1, r_hi, best_c, c_hi))
+        stack.append((r_lo, mid - 1, c_lo, best_c))
+    return out
+
+
+class ScalarTransitionMatrix:
+    """The candidate matrix of one column update, one Python float at a time."""
+
+    def __init__(self, dist, prev):
+        self.gp, self.hp = dist.g_prefix.tolist(), dist.h_prefix.tolist()
+        self.prev = list(prev)
+        self.row_count = self.col_count = dist.n_segments - 1
+
+    def value(self, row, col):
+        if col > row:
+            return NEG_INF
+        prev = self.prev[col]
+        if prev == NEG_INF:
+            return NEG_INF
+        sg = self.gp[row + 1] - self.gp[col]
+        if sg <= 0.0:
+            return prev
+        sh = self.hp[row + 1] - self.hp[col]
+        if sh <= 0.0:
+            return inf
+        return prev + sg * log2(sg / sh)
+
+
+def reference_monotone_table(dist, n_cols):
+    n = dist.n_segments
+    values = np.full((n, n_cols), NEG_INF)
+    parents = np.full((n, n_cols), -1, dtype=np.int32)
+    values[0, 0] = 0.0
+    for q in range(1, n_cols):
+        matrix = ScalarTransitionMatrix(dist, values[:, q - 1].tolist())
+        cols, vals = zip(*reference_row_maxima(matrix))
+        col_vals = np.array(vals)
+        values[1:, q] = col_vals
+        parents[1:, q] = np.where(col_vals == NEG_INF, -1, np.array(cols) + 1)
+    return values, parents
+
+
+def sparse_skewed(rng, n, zero_share):
+    masses = rng.uniform(0.0, 1.0, n) ** rng.uniform(1.0, 30.0)
+    masses[rng.uniform(0.0, 1.0, n) < zero_share] = 0.0
+    return masses
+
+
+@REFERENCE_SETTINGS
+@given(
+    n=st.integers(2 * BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 40),
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocks_equal_the_full_matrix_tables(n, k, seed):
+    # N spans at least three row blocks; the per-start tables cover the rows
+    # on both sides of every block boundary
+    rng = np.random.default_rng(seed)
+    g, h = sparse_skewed(rng, n, 0.4), sparse_skewed(rng, n, 0.3)
+    g[0] = h[-1] = 1e-3  # keep both totals positive
+    raw = SegmentedDistribution.from_masses(g, h, n_keys=1000)
+    starts = {k, n} | {
+        edge + d for edge in range(1, n, BLOCK_ROWS) for d in (-1, 0, 1, 2) if k <= edge + d <= n
+    }
+    for d in (raw, ensure_positive_masses(raw)):
+        table = divergence_table(d, k)
+        values, parents = reference_table(d, n, k)
+        assert table.values.tobytes() == values.tobytes()
+        assert table.parents.tobytes() == parents.tobytes()
+        builder = _TableBuilder(d)
+        for j in sorted(starts):
+            window = builder.build(j, k)
+            values, parents = reference_table(d, j, k)
+            assert window.values.tobytes() == values.tobytes(), j
+            assert window.parents.tobytes() == parents.tobytes(), j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 48),
+    m=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_at_a_time_equals_the_scalar_loop(n, m, seed):
+    # non-monotone entries from a few values, so ties are common, with
+    # rectangles of -inf and a few +inf cells
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-3, 4, size=(n, m)).astype(np.float64)
+    for _ in range(int(rng.integers(0, 4))):
+        r0, c0 = int(rng.integers(0, n)), int(rng.integers(0, m))
+        height, width = int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))
+        rows[r0 : r0 + height, c0 : c0 + width] = NEG_INF
+    rows[rng.uniform(size=(n, m)) < 0.02] = inf
+    matrix = DenseMatrix(rows)
+    counted, scalar = CountingMatrix(matrix), CountingMatrix(matrix)
+    assert monotone_row_maxima(counted) == reference_row_maxima(scalar)
+    assert counted.calls == scalar.calls
+
+
+@REFERENCE_SETTINGS
+@given(
+    n=st.integers(20, 300),
+    k=st.integers(2, 6),
+    samples=st.integers(50, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monotone_table_equals_the_scalar_reference(n, k, samples, seed):
+    # a histogram sampled from an ideal one is noisy: its candidate matrices
+    # are not monotone, so the divide and conquer visits differ from a scan
+    ideal = zipfian_distribution(SyntheticSpec(n, 10000, 10000))
+    rng = np.random.default_rng(seed)
+    keys = rng.multinomial(samples, ideal.g / ideal.g.sum()) / samples
+    nonkeys = rng.multinomial(samples, ideal.h / ideal.h.sum()) / samples
+    raw = SegmentedDistribution.from_masses(keys, nonkeys, samples, normalize=False)
+    for d in (raw, ensure_positive_masses(raw)):
+        table = divergence_table_monotone(d, k)
+        values, parents = reference_monotone_table(d, k)
+        assert table.values.tobytes() == values.tobytes()
+        assert table.parents.tobytes() == parents.tobytes()

@@ -104,8 +104,7 @@ def cmd_gen(args) -> int:
         n_swaps=args.swaps,
         seed=seed,
     )
-    records = synthesize_records(spec)
-    write_records_csv(args.out, records)
+    write_records_csv(args.out, synthesize_records(spec))
     print(
         f"wrote {args.out}: {args.keys} keys, {args.nonkeys} non-keys, "
         f"{args.segments} segments, seed {seed}"

@@ -7,10 +7,10 @@ synthetic generation reduce to producing those two histograms.
 
 Scored elements travel as :class:`ScoreColumns`: a list of ids beside a
 float64 score array and a bool key mask.  ``read_records_csv`` parses a
-file straight into columns, and ``segment_scores`` bins the arrays without
-a per-element Python step.  :class:`ScoreRecord` is the one-element view
-that iterating columns yields and the synthetic generators produce;
-``ScoreColumns.from_records`` turns any iterable of them into columns.
+file straight into columns and ``synthesize_records`` generates them, both
+with array operations; ``segment_scores`` and ``write_records_csv`` take
+them.  :class:`ScoreRecord` is the one-element view that iterating columns
+yields; ``ScoreColumns.from_records``, the one adapter, turns records into columns.
 
 Distributions are immutable after construction and safe to share across
 threads.
@@ -19,7 +19,6 @@ threads.
 from __future__ import annotations
 
 import csv
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
@@ -313,8 +312,8 @@ def _apportion(total: int, masses: np.ndarray) -> np.ndarray:
     return counts
 
 
-def synthesize_records(spec: SyntheticSpec) -> list[ScoreRecord]:
-    """Materialize a synthetic workload as concrete scored records.
+def synthesize_records(spec: SyntheticSpec) -> ScoreColumns:
+    """Materialize a synthetic workload as scored columns, keys first.
 
     Counts per segment are apportioned from the analytic masses and nudged
     monotone (ascending keys, descending non-keys) before any swaps, so an
@@ -329,10 +328,10 @@ def synthesize_records(spec: SyntheticSpec) -> list[ScoreRecord]:
     rng = _rng(spec.seed)
     if spec.n_swaps:
         _swap_adjacent(rng, spec.n_swaps, key_counts, nonkey_counts)
-    records: list[ScoreRecord] = []
-    records.extend(_fill_segments(rng, key_counts, spec.n_segments, True, "k"))
-    records.extend(_fill_segments(rng, nonkey_counts, spec.n_segments, False, "q"))
-    return records
+    keys = _fill_segments(rng, key_counts, spec.n_segments, True, "k")
+    nonkeys = _fill_segments(rng, nonkey_counts, spec.n_segments, False, "q")
+    return ScoreColumns(keys.ids + nonkeys.ids, np.concatenate((keys.scores, nonkeys.scores)),
+                        np.concatenate((keys.is_key, nonkeys.is_key)))
 
 
 def sample_records(
@@ -348,34 +347,30 @@ def sample_records(
 
     Unlike :func:`synthesize_records` this is plain sampling: the empirical
     histogram only approaches ``dist`` as the counts grow.  Useful for
-    held-out evaluation sets.
+    held-out evaluation sets.  Returns a list, not columns, so callers can
+    concatenate it with other lists of records.
     """
     rng = _rng(seed)
     out: list[ScoreRecord] = []
     if n_keys:
-        counts = rng.multinomial(n_keys, dist.g / dist.g.sum()).tolist()
+        counts = rng.multinomial(n_keys, dist.g / dist.g.sum())
         out.extend(_fill_segments(rng, counts, dist.n_segments, True, key_prefix))
     if n_nonkeys:
-        counts = rng.multinomial(n_nonkeys, dist.h / dist.h.sum()).tolist()
+        counts = rng.multinomial(n_nonkeys, dist.h / dist.h.sum())
         out.extend(_fill_segments(rng, counts, dist.n_segments, False, nonkey_prefix))
     return out
 
 
-def _fill_segments(rng, counts, n_segments, is_key, prefix) -> list[ScoreRecord]:
-    records = []
-    serial = 0
-    for seg, count in enumerate(counts):
-        if not count:
-            continue
-        offsets = rng.random(count)
-        for u in offsets:
-            score = (seg + float(u)) / n_segments
-            # Float rounding can push a score into the next bin; nudge it back.
-            while segment_index(score, n_segments) != seg:
-                score = math.nextafter(score, 0.0)
-            records.append(ScoreRecord(f"{prefix}{serial:08d}", score, is_key))
-            serial += 1
-    return records
+def _fill_segments(rng, counts, n_segments, is_key, prefix) -> ScoreColumns:
+    """``counts[s]`` elements scored uniformly in segment ``s``; one draw of all offsets."""
+    seg = np.repeat(np.arange(n_segments), counts)
+    scores = (seg + rng.random(seg.size)) / n_segments
+    # Float rounding can put a score just outside its bin; nudge it toward the centre.
+    while (out := np.flatnonzero(
+            np.minimum((scores * n_segments).astype(np.int64), n_segments - 1) != seg)).size:
+        scores[out] = np.nextafter(scores[out], (seg[out] + 0.5) / n_segments)
+    ids = [f"{prefix}{serial:08d}" for serial in range(seg.size)]
+    return ScoreColumns(ids, scores, np.full(seg.size, is_key))
 
 
 def read_records_csv(path) -> ScoreColumns:
@@ -461,12 +456,11 @@ def _raise_first_bad_row(path) -> NoReturn:
 
 
 def write_records_csv(path, records) -> None:
-    """Write records in the same ``element_id,score,label`` layout."""
+    """Write columns or records as ``element_id,score,label`` rows; bytes ids as UTF-8."""
+    columns = ScoreColumns.from_records(records)
+    ids = (i.decode("utf-8") if isinstance(i, bytes) else i for i in columns.ids)
+    labels = np.where(columns.is_key, "1", "0").tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            ident = rec.element_id
-            if isinstance(ident, bytes):
-                ident = ident.decode("utf-8")
-            writer.writerow((ident, repr(float(rec.score)), "1" if rec.is_key else "0"))
+        writer.writerows(zip(ids, map(repr, columns.scores.tolist()), labels))

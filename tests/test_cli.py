@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plbf.cli as cli
@@ -287,20 +289,31 @@ class TestByteIdentity:
     fast, fastpp and plbf agree on the plan and the answers; their files
     differ only in the algorithm name.  fast, plbf and relaxed dump the one
     N x k table; fastpp dumps its row-maxima table.
+
+    The N x k table takes ``np.log2``.  Where numpy dispatches it to AVX-512
+    code, some cells round differently from ``math.log2``, the probe input
+    below among them, and the table's dump has its own digest.  Elsewhere
+    the dump equals fastpp's.  Each machine accepts exactly one of the two.
     """
 
+    LOG2_PROBE = 1.0800590318329526
+    FULL_TABLE_DUMP = (
+        "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4"
+        if float(np.log2(LOG2_PROBE)) != math.log2(LOG2_PROBE)
+        else "b35f66a36704dba5faa9aeef98db246a4f9699c86191e10cd57e58376cf8b235"
+    )
     PINS = {
         ("fast", "fpr"): (
             "46c6104689bf07c96b287d0a9bd4f5fbdfefde0b3ae4e9e91a1734c2851a634e",
             "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
             "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
         ("fast", "memory"): (
             "dce7a526baf3cc418beffa0ea405779db4eec3bf3373622df5baed09d8a5425f",
             "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
             "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
         ("fastpp", "fpr"): (
             "3739fc278b63fe66dd988bdd3ec5d2576d03aa88bdc8733d3294df7214ce55da",
@@ -318,25 +331,25 @@ class TestByteIdentity:
             "682615c06da0b76cc2e63cf790157ddde158c50e40acadc90fc99f280e008a04",
             "694df779df64e5ccf3aece5be6586fca55801920747951ef75177a7f53a4e296",
             "85f37c3369f964b3800dd81c6bebd8403903b2f18e1f012bae2f5e9b01561bca",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
         ("plbf", "memory"): (
             "ceafd29e0d96add80c05b7c7a6e97e1ac4775b8c90139dc9ac4d7211162dcae3",
             "22b9b055068cebafc4344bee89f2abbbeddc7572c4db35c986372c865a3e26b0",
             "37180ef5f53aa7696d65209c51aa657cfd7511b6131202e63c2f8b69568df9e0",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
         ("relaxed", "fpr"): (
             "ff9affb5857806f0d9149c4f4e42f37dab7f50cef2fdf1d47031da49c45b72d1",
             "c90ec79d9a9ed4fb1d93ad2b88742f2b1b250f98d096d4eccb712e205d173d5b",
             "841d1fcd79edbf1501a76541a4874e559e0605e5964474fa46e2ec2abc9b13f3",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
         ("relaxed", "memory"): (
             "8e3ac8f4bf0c909324fe42a58b6ed15b6be29ea82b32204075dce19d10dfc644",
             "51bc119d881941d87d485cc1fedf4866d8ed2a63ddf4e8e59f27f0e1154d86fd",
             "398ad6df363b4d393e99f3727fc4b68611d8a45fe51d61023af78a0efb81218b",
-            "b7bc9d56d5d9dedcb4bfbf10bff56abc042ae6933e6920d665f63bcb6faa7ee4",
+            FULL_TABLE_DUMP,
         ),
     }
     BUDGETS = {"fpr": ("--target-fpr", "0.01"), "memory": ("--memory-bits", "12000")}

@@ -3,12 +3,15 @@
 ``segment_scores`` and ``build_filter`` work on :class:`ScoreColumns`; here
 their results are compared with histograms and filters built one record at
 a time, on scores that sit at 0, at 1 and on or next to the bin edges.
+The synthetic generators and ``write_records_csv`` must give the records
+and the file bytes of a per-record generator and writer.
 ``read_records_csv`` must round-trip ids that need quoting and report the
 first bad row of a file at the line the csv module counts, however many
 lines the quoted ids before it span.  Runs are derandomized so the suite
 stays deterministic.
 """
 
+import csv
 import io
 import math
 from bisect import bisect_right
@@ -24,14 +27,19 @@ from plbf import (
     RegionPlan,
     ScoreColumns,
     ScoreRecord,
+    SyntheticSpec,
     ValidationError,
     build_filter,
     read_records_csv,
     region_seed,
+    sample_records,
     segment_index,
     segment_scores,
+    synthesize_records,
     write_records_csv,
+    zipfian_distribution,
 )
+from plbf.distribution import CSV_HEADER, _apportion, _fill_segments, _swap_adjacent, _zipf_base
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -88,6 +96,65 @@ def reference_filter(records, plan, seed):
             filt.insert(element_id)
         filters.append(filt)
     return PlbfFilter(plan, tuple(filters), seed)
+
+
+def per_record_fill(rng, counts, n_segments, is_key, prefix):
+    """``_fill_segments`` one record at a time, one ``rng.random`` call per segment.
+
+    Its nudge only steps toward 0, which never ends for a score that rounds
+    below its bin; with 2 to 13 segments no bin edge rounds that way.
+    """
+    records = []
+    serial = 0
+    for seg, count in enumerate(counts):
+        if not count:
+            continue
+        for u in rng.random(count):
+            score = (seg + float(u)) / n_segments
+            while segment_index(score, n_segments) != seg:
+                score = math.nextafter(score, 0.0)
+            records.append(ScoreRecord(f"{prefix}{serial:08d}", score, is_key))
+            serial += 1
+    return records
+
+
+def per_record_csv(path, records):
+    """``write_records_csv`` one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for rec in records:
+            ident = rec.element_id
+            if isinstance(ident, bytes):
+                ident = ident.decode("utf-8")
+            writer.writerow((ident, repr(float(rec.score)), "1" if rec.is_key else "0"))
+
+
+def assert_same_csv(tmp_path_factory, written, records):
+    """``write_records_csv(written)`` holds the bytes ``per_record_csv(records)`` does."""
+    tmp = tmp_path_factory.mktemp("csv")
+    write_records_csv(tmp / "got.csv", written)
+    per_record_csv(tmp / "expected.csv", records)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "expected.csv").read_bytes()
+
+
+class OffsetStream:
+    """An rng stand-in whose ``random`` hands out fixed offsets in order."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+        self.used = 0
+
+    def random(self, count):
+        self.used += count
+        return np.array(self.offsets[self.used - count : self.used], dtype=np.float64)
+
+
+# offsets just under 1 put the score on or past its bin's top edge, where it is nudged back
+OFFSETS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 1 - 2**-53, 1 - 2**-52, 1 - 2**-50]),
+)
 
 
 class TestScoreColumns:
@@ -165,6 +232,59 @@ def test_csv_round_trips_ids_that_need_quoting(tmp_path_factory, ids, scores, la
     path = tmp_path_factory.mktemp("csv") / "records.csv"
     write_records_csv(path, records)
     assert list(read_records_csv(path)) == records
+    assert_same_csv(tmp_path_factory, records, records)
+    as_bytes = [ScoreRecord(rec.element_id.encode(), rec.score, rec.is_key) for rec in records]
+    assert_same_csv(tmp_path_factory, as_bytes, records)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(2, 13), is_key=st.booleans())
+def test_fill_segments_matches_the_per_record_loop(tmp_path_factory, data, n, is_key):
+    counts = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    offsets = data.draw(st.lists(OFFSETS, min_size=sum(counts), max_size=sum(counts)))
+    columns = _fill_segments(OffsetStream(offsets), counts, n, is_key, "p")
+    records = per_record_fill(OffsetStream(offsets), counts, n, is_key, "p")
+    assert list(columns) == records
+    assert_same_csv(tmp_path_factory, columns, records)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 13),
+    n_keys=st.integers(0, 60),
+    n_nonkeys=st.integers(0, 60),
+    zipf=st.floats(0.1, 3.0),
+    n_swaps=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generators_match_the_per_record_loop(
+    tmp_path_factory, n, n_keys, n_nonkeys, zipf, n_swaps, seed
+):
+    spec = SyntheticSpec(n, max(n_keys, 1), max(n_nonkeys, 1), zipf, n_swaps, seed)
+    g, h = _zipf_base(n, zipf)
+    key_counts = np.sort(_apportion(spec.n_keys, g)).tolist()
+    nonkey_counts = np.sort(_apportion(spec.n_nonkeys, h))[::-1].tolist()
+    rng = np.random.default_rng(seed)
+    if n_swaps:
+        _swap_adjacent(rng, n_swaps, key_counts, nonkey_counts)
+    expected = (per_record_fill(rng, key_counts, n, True, "k")
+                + per_record_fill(rng, nonkey_counts, n, False, "q"))
+    columns = synthesize_records(spec)
+    assert list(columns) == expected
+    assert_same_csv(tmp_path_factory, columns, expected)
+
+    dist = zipfian_distribution(spec)
+    rng = np.random.default_rng(seed)
+    expected = []
+    if n_keys:
+        counts = rng.multinomial(n_keys, dist.g / dist.g.sum()).tolist()
+        expected += per_record_fill(rng, counts, n, True, "a")
+    if n_nonkeys:
+        counts = rng.multinomial(n_nonkeys, dist.h / dist.h.sum()).tolist()
+        expected += per_record_fill(rng, counts, n, False, "b")
+    sampled = sample_records(dist, n_keys, n_nonkeys, seed, key_prefix="a", nonkey_prefix="b")
+    assert sampled == expected
+    assert_same_csv(tmp_path_factory, sampled, expected)
 
 
 def csv_row(element_id, score_text, label):

@@ -189,12 +189,12 @@ class TestSynthesizeRecords:
 
     def test_reproducible(self):
         spec = SyntheticSpec(25, 200, 200, n_swaps=50, seed=6)
-        assert synthesize_records(spec) == synthesize_records(spec)
+        assert list(synthesize_records(spec)) == list(synthesize_records(spec))
 
     def test_seed_changes_output(self):
         a = synthesize_records(SyntheticSpec(25, 200, 200, seed=1))
         b = synthesize_records(SyntheticSpec(25, 200, 200, seed=2))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_scores_stay_in_declared_segments(self):
         spec = SyntheticSpec(13, 400, 400, seed=3)
@@ -228,7 +228,7 @@ class TestCsvRoundTrip:
         records = synthesize_records(SyntheticSpec(15, 120, 80, seed=4))
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
-        assert list(read_records_csv(path)) == records
+        assert list(read_records_csv(path)) == list(records)
 
     def test_nudged_scores_round_trip(self, tmp_path):
         class TopOfBin:
@@ -237,10 +237,22 @@ class TestCsvRoundTrip:
 
         # (1 - 2**-53) / 3 rounds up to the bin edge 1/3 and is nudged back
         records = _fill_segments(TopOfBin(), [1, 0, 0], 3, True, "k")
-        assert segment_index(records[0].score, 3) == 0
+        assert segment_index(records.scores[0], 3) == 0
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
-        assert list(read_records_csv(path)) == records
+        assert list(read_records_csv(path)) == list(records)
+
+    def test_score_below_its_bin_is_nudged_up(self):
+        class ZeroOffsets:
+            def random(self, count):
+                return np.zeros(count)
+
+        # 15 / 22 * 22 rounds below 15, so the score would bin into segment 14
+        counts = [0] * 22
+        counts[15] = 1
+        records = _fill_segments(ZeroOffsets(), counts, 22, True, "k")
+        assert segment_index(records.scores[0], 22) == 15
+        assert records.scores[0] == math.nextafter(15 / 22, 1.0)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -583,23 +583,31 @@ class TestPlanSerialization:
             plan_from_dict([plan_to_dict(self._sample_plan())])
 
 
+def portable_power(u, p):
+    """``u ** p`` per element with ``math.pow``, whose result does not depend on
+    which SIMD code numpy dispatches to (``np.power``'s does)."""
+    return np.array([math.pow(x, p) for x in u.tolist()])
+
+
 def pinned_histograms():
     """Sixty seeded sparse, skewed histograms, each with a region count and budgets.
 
     Masses are ``u ** p`` with p up to 30 and a share zeroed, as in the
     property tests; histograms with no key or no non-key mass are redrawn.
+    Every power is taken with ``math.pow``, so the inputs, and with them the
+    pinned plans, are the same on every CPU.
     """
     rng = np.random.default_rng(20260)
     cases = []
     while len(cases) < 60:
         n = int(rng.integers(3, 31))
-        g, h = (rng.uniform(size=n) ** rng.uniform(1.0, 30.0) for _ in range(2))
+        g, h = (portable_power(rng.uniform(size=n), rng.uniform(1.0, 30.0)) for _ in range(2))
         g[rng.uniform(size=n) < 0.4] = 0.0
         h[rng.uniform(size=n) < 0.3] = 0.0
         k = int(rng.integers(2, n))
         n_keys = int(rng.integers(1, 10**5))
-        target_fpr = float(10 ** rng.uniform(-5.0, -0.05))
-        memory_bits = float(n_keys * 10 ** rng.uniform(-2.0, 1.3))
+        target_fpr = math.pow(10.0, rng.uniform(-5.0, -0.05))
+        memory_bits = float(n_keys * math.pow(10.0, rng.uniform(-2.0, 1.3)))
         if g.sum() > 0 and h.sum() > 0:
             d = SegmentedDistribution.from_masses(g, h, n_keys=n_keys)
             cases.append((d, k, target_fpr, memory_bits))
@@ -611,54 +619,44 @@ class TestPlanPins:
 
     Each pin is the sha256 of the canonical ``plan_to_dict`` JSON of the
     plans for :func:`pinned_histograms`, one line per histogram, leaving out
-    the histograms listed beside it, where that planner raised
-    :class:`InfeasibleError` when the pins were taken (some of them now get a
-    plan, because an infeasible layout no longer aborts the sweep).
+    the histograms listed beside it, where that planner must raise
+    :class:`InfeasibleError`.
     """
 
     PINS = {
         ("plbf", "fpr"): (
-            "65cdbc05fa4a39103a55f0977e44a68bd2a55a0650fd607880a8a18b8637ca97",
-            (
-                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
-                50, 51, 53, 55,
-            ),
+            "c8ea6d4beaa17743170fda6a1c76072c1ef2decd5bacd6b0df7c5204a83a0b66",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 49, 50, 53, 55),
         ),
         ("plbf", "memory"): (
-            "b4f5244465b89d2e7362c57a827bed68d34dcab1ac7bbacb830ac4cd52e125a3",
+            "7e5bbe942efa4e1d1854467ba8ccd3679e36ce041f8e3c32fa6d6c257238ab9c",
             (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
         ),
         ("fast", "fpr"): (
-            "65cdbc05fa4a39103a55f0977e44a68bd2a55a0650fd607880a8a18b8637ca97",
-            (
-                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
-                50, 51, 53, 55,
-            ),
+            "c8ea6d4beaa17743170fda6a1c76072c1ef2decd5bacd6b0df7c5204a83a0b66",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 49, 50, 53, 55),
         ),
         ("fast", "memory"): (
-            "b4f5244465b89d2e7362c57a827bed68d34dcab1ac7bbacb830ac4cd52e125a3",
+            "7e5bbe942efa4e1d1854467ba8ccd3679e36ce041f8e3c32fa6d6c257238ab9c",
             (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
         ),
         ("fastpp", "fpr"): (
-            "d92a7f90429d4bcaeb0da8c6759a9528c78632988c2ac60c6ecd35e6de55be83",
-            (
-                4, 7, 8, 10, 15, 19, 21, 22, 25, 27, 33, 36, 38, 39, 41, 43, 44, 47, 49,
-                50, 51, 53, 55,
-            ),
+            "7dab9f243083c4ee6cd095f1f03279afee72235e71675077042ab7e036962103",
+            (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 49, 50, 53, 55),
         ),
         ("fastpp", "memory"): (
-            "69a499397ac06160d722367dafd27b2303f67840a61fc9345461dea00460f276",
+            "6850189e4281ca972ffdf443113ed6b5db44c6ffe8fe1c1193a25bf378bdd3fc",
             (4, 7, 8, 10, 15, 19, 21, 25, 27, 33, 38, 39, 41, 50, 53, 55),
         ),
         ("relaxed", "fpr"): (
-            "48480637f0adbb26f6970d732331867a150ccabce300b879f27c0b5cb862e888",
+            "53856b39c8c5e5ea3041a1c2147cf107cd2bddd90cc5d5d370c0cc2cd41bb46b",
             (
                 0, 2, 4, 5, 7, 8, 10, 15, 19, 21, 22, 25, 26, 27, 33, 35, 36, 38, 39, 40,
                 41, 42, 43, 44, 46, 49, 50, 52, 53, 55,
             ),
         ),
         ("relaxed", "memory"): (
-            "2b1372eed1b653741ea266f6e02ddb16021471dfd7a6b6a4863af24ec5ad2d77",
+            "a6b785e8e42af4af74752a9f7cdb4ea752641b58692aaeac3730d826701690e3",
             (
                 0, 2, 4, 5, 7, 8, 10, 15, 19, 21, 22, 25, 26, 27, 33, 35, 38, 39, 40, 41,
                 42, 44, 46, 50, 52, 53, 55,
@@ -672,11 +670,14 @@ class TestPlanPins:
         digest, left_out = self.PINS[algorithm, framework]
         lines = []
         for i, (d, k, target_fpr, memory_bits) in enumerate(pinned_histograms()):
-            if i in left_out:
-                continue
             budget = {"fpr": dict(target_fpr=target_fpr), "memory": dict(memory_bits=memory_bits)}
-            plan = solve(d, BuildConfig(
+            config = BuildConfig(
                 framework, d.n_segments, k, algorithm=algorithm, **budget[framework]
-            ))
+            )
+            if i in left_out:
+                with pytest.raises(InfeasibleError):
+                    solve(d, config)
+                continue
+            plan = solve(d, config)
             lines.append(json.dumps(plan_to_dict(plan), sort_keys=True))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

@@ -11,8 +11,9 @@ false-positive rate per region, from the closed-form optimum of the framework:
 * ``memory`` framework: spend a bit budget M while minimizing the expected
   rate.  With c|S| denoting keys scaled by the filter's bits-per-key factor,
   the optimum is f_i = 2^(-beta) * G_i / H_i with beta chosen to spend M
-  exactly, re-solved under the same clamping loop (a region whose G_i / H_i
-  overflows clamps to 1 before beta is solved).
+  exactly, under the same clamping loop: each framework supplies only its
+  scale of G_i / H_i.  A region whose G_i / H_i overflows would make beta
+  infinite, so it starts clamped at 1.
 
 The sweep gathers every candidate layout first: ``fast``, ``fastpp`` and
 ``relaxed`` trace all their reachable final-region starts from one table at
@@ -202,8 +203,8 @@ def _positive_masses(key_mass, nonkey_mass) -> tuple[np.ndarray, np.ndarray, boo
     h = np.asarray(nonkey_mass, dtype=np.float64)
     if g.ndim not in (1, 2) or g.shape[-1] < 1 or h.shape != g.shape:
         raise ValidationError("mass vectors must be equally sized and nonempty")
-    if (g <= 0.0).any() or (h <= 0.0).any():
-        raise ValidationError("region masses must be positive")
+    if not (((0.0 < g) & (g < inf)).all() and ((0.0 < h) & (h < inf)).all()):
+        raise ValidationError("region masses must be finite and positive")
     return g.reshape(-1, g.shape[-1]), h.reshape(-1, h.shape[-1]), g.ndim == 2
 
 
@@ -219,35 +220,40 @@ def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def _clamped_rates(g: np.ndarray, h: np.ndarray, free_rates):
+def _clamped_rates(g: np.ndarray, h: np.ndarray, closed_form, clamped: np.ndarray):
     """Clamp rates above 1 and re-solve the rest until all lie in (0, 1].
 
-    ``g`` and ``h`` hold one layout's region masses per row.
-    ``free_rates(rows, free, g_clamped, h_clamped)`` is the framework's closed
-    form for the layouts ``rows``: their rates in the columns ``free`` marks
-    (other columns are ignored), given the key and non-key mass of the
-    regions already clamped to 1, and whether each layout is feasible.  The
-    first solve is the re-solve with nothing clamped.  Returns the rates, NaN
-    across an infeasible layout's row, and where each layout stopped: its
-    clamped regions and their key and non-key mass.
+    ``g`` and ``h`` hold one layout's region masses per row, and ``clamped``
+    marks the regions that start at rate 1; it is updated in place.  Each
+    pass gives the layouts ``rows`` the rate G_i * num / (H_i * den) in their
+    free regions and 1 in their clamped ones, where
+    ``closed_form(rows, free, head_room, h_clamped)`` is the framework's
+    scale: it returns ``num``, ``den`` and whether each layout is feasible,
+    given its free regions, the key mass 1 - G_clamped left to them and the
+    non-key mass of its clamped regions.  A layout with free regions and no
+    key mass left is infeasible too.  Returns the rates, NaN across an
+    infeasible layout's row, and where each layout stopped: its clamped
+    regions and their key and non-key mass.
     """
     rows = np.arange(len(g))
-    clamped = np.zeros(g.shape, dtype=bool)
-    g_clamped = np.zeros(len(g))
-    h_clamped = np.zeros(len(g))
-    f, feasible = free_rates(rows, ~clamped, g_clamped, h_clamped)
-    while True:
+    g_clamped = _row_sums(g, clamped)
+    h_clamped = _row_sums(h, clamped)
+    f = np.empty(g.shape)
+    while rows.size:
+        free = ~clamped[rows]
+        head_room = 1.0 - g_clamped[rows]
+        num, den, feasible = closed_form(rows, free, head_room, h_clamped[rows])
+        feasible &= ~free.any(axis=1) | (head_room > 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
+                f[rows, i] = np.where(free[:, i], g[rows, i] * num / (h[rows, i] * den), 1.0)
         f[rows[~feasible]] = np.nan
         newly = ~clamped & (f > 1.0)  # NaN > 1 is false: infeasible rows stop
         rows = np.flatnonzero(newly.any(axis=1))
-        if not rows.size:
-            return np.maximum(f, FPR_FLOOR, out=f), clamped, g_clamped, h_clamped
         clamped |= newly
-        f[newly] = 1.0
         g_clamped[rows] = _row_sums(g[rows], clamped[rows])
         h_clamped[rows] = _row_sums(h[rows], clamped[rows])
-        rates, feasible = free_rates(rows, ~clamped[rows], g_clamped[rows], h_clamped[rows])
-        f[rows] = np.where(clamped[rows], 1.0, rates)
+    return np.maximum(f, FPR_FLOOR, out=f), clamped, g_clamped, h_clamped
 
 
 def _one_or_batch(fprs: np.ndarray, batch: bool, error):
@@ -278,19 +284,14 @@ def optimal_fprs_for_fpr(
     if not (0.0 < target_fpr < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
 
-    def free_rates(rows, free, g_clamped, h_clamped):
+    def closed_form(rows, free, head_room, h_clamped):
         budget = target_fpr - h_clamped
-        head_room = 1.0 - g_clamped
-        rates = np.empty((len(rows), g.shape[1]))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
-                rates[:, i] = g[rows, i] * budget / (h[rows, i] * head_room)
-        feasible = np.where(
-            free.any(axis=1), (budget > 0.0) & (head_room > 0.0), h_clamped <= target_fpr
-        )
-        return rates, feasible
+        feasible = np.where(free.any(axis=1), budget > 0.0, h_clamped <= target_fpr)
+        return budget, head_room, feasible
 
-    fprs, clamped, _, h_clamped = _clamped_rates(g, h, free_rates)
+    fprs, clamped, _, h_clamped = _clamped_rates(
+        g, h, closed_form, np.zeros(g.shape, dtype=bool)
+    )
 
     def error():
         if clamped[0].all():
@@ -329,31 +330,24 @@ def optimal_fprs_for_memory(
         raise ValidationError("scaled_keys must be positive")
     with np.errstate(over="ignore"):
         ratio = g / h
+    # a region whose G/H overflowed would make beta infinite for every other
+    # region, so it starts clamped
     overflowed = ratio == inf
-    region_div = g * _log2(ratio)
+    # a ratio that underflowed to 0 has no log2; 2**-1074 is the least positive one
+    region_div = g * _log2(np.maximum(ratio, 2.0**-1074, out=ratio))
     del ratio  # a large batch's working set stays smaller without it
 
-    def free_rates(rows, free, g_clamped, _h_clamped):
-        head_room = 1.0 - g_clamped
+    def closed_form(rows, free, head_room, _h_clamped):
         k_sum = _row_sums(region_div[rows], free)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
             # 2**1023 is the largest finite power of two: capping the exponent
             # turns a beta below -1023 into rates far above 1, which clamp
             exponents = np.minimum(-beta, 1023.0)
-            powers = map(pow, repeat(2.0), memoryview(exponents))  # 2.0 ** e, entry by entry
-            scale = np.fromiter(powers, np.float64, len(exponents))
-            rates = np.empty((len(rows), g.shape[1]))
-            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
-                rates[:, i] = scale * g[rows, i] / h[rows, i]
-        # a region whose G/H overflowed would make beta infinite for all: it
-        # clamps to 1 first (any rate above 1 does) and the rest, given
-        # placeholders here, are re-solved without it
-        overflow = k_sum == inf
-        rates[overflow] = np.where(overflowed[rows[overflow]], inf, 0.0)
-        return rates, ~free.any(axis=1) | (head_room > 0.0)
+        powers = map(pow, repeat(2.0), memoryview(exponents))  # 2.0 ** e, entry by entry
+        return np.fromiter(powers, np.float64, len(exponents)), 1.0, np.ones(len(rows), bool)
 
-    fprs, _, g_clamped, _ = _clamped_rates(g, h, free_rates)
+    fprs, _, g_clamped, _ = _clamped_rates(g, h, closed_form, overflowed)
     return _one_or_batch(fprs, batch, lambda: InfeasibleError(
         f"cannot spend {memory_bits:.6g} bits: clamped regions "
         f"already carry key mass {g_clamped[0]:.6g}"

@@ -39,6 +39,10 @@ class TestSizing:
     def test_hash_count_is_at_least_one(self):
         assert hashes_for(1000, 1) == 1
 
+    def test_hash_count_needs_keys(self):
+        with pytest.raises(ValidationError, match="hashes_for needs positive key and bit counts"):
+            hashes_for(0, 8)
+
 
 class TestBloomFilter:
     def test_no_false_negatives(self):

@@ -73,6 +73,11 @@ class TestGen:
         rc = run("gen", "--out", str(tmp_path / "x.csv"), "--segments", "1")
         assert rc == 1
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        rc = run("gen", "--out", str(tmp_path / "x.csv"), "--seed", "-1")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+
 
 class TestBuild:
     def _build(self, tmp_path, *extra, algorithm="fast"):
@@ -151,6 +156,14 @@ class TestBuild:
             "--segments", "80", "--regions", "4", "--framework", "memory",
         )
         assert rc == 1
+        capsys.readouterr()
+        rc = run(
+            "build", "--data", str(data), "--out", str(tmp_path / "x.plbf"),
+            "--segments", "80", "--regions", "4", "--framework", "memory",
+            "--memory-bits", "5000", "--target-fpr", "0.01",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --target-fpr only applies to --framework fpr\n"
 
     def test_memory_framework_build(self, tmp_path):
         data = gen_dataset(tmp_path / "data.csv")
@@ -423,6 +436,13 @@ class TestBench:
         data = gen_dataset(tmp_path / "data.csv")
         rc = run("bench", "--data", str(data), "--algorithms", "fast,warp")
         assert rc == 1
+
+    def test_empty_algorithm_list_rejected(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path / "data.csv")
+        capsys.readouterr()
+        rc = run("bench", "--data", str(data), "--algorithms", ",")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --algorithms needs at least one value\n"
 
     def test_bad_segment_list_rejected(self, tmp_path):
         data = gen_dataset(tmp_path / "data.csv")

@@ -64,6 +64,15 @@ class TestSegmentedDistribution:
         with pytest.raises(ValidationError):
             SegmentedDistribution.from_masses([1.0], [0.5, 0.5], n_keys=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_mass_that_is_not_finite(self, bad):
+        with pytest.raises(ValidationError, match="mass vectors must be finite"):
+            SegmentedDistribution.from_masses([1.0, 1.0], [1.0, bad], n_keys=1)
+
+    def test_rejects_side_without_mass(self):
+        with pytest.raises(ValidationError, match="each mass vector needs positive total mass"):
+            SegmentedDistribution.from_masses([0.0, 0.0], [1.0, 1.0], n_keys=1)
+
 
 class TestSegmentScores:
     def test_counts_mass_per_segment(self):
@@ -78,6 +87,11 @@ class TestSegmentScores:
         assert d.g.tolist() == pytest.approx([2 / 3, 1 / 3])
         assert d.h.tolist() == pytest.approx([0.5, 0.5])
         assert d.n_keys == 3
+
+    def test_rejects_single_segment(self):
+        records = [ScoreRecord("a", 0.5, True), ScoreRecord("x", 0.5, False)]
+        with pytest.raises(ValidationError, match="n_segments must be at least 2"):
+            segment_scores(records, 1)
 
     def test_requires_keys(self):
         with pytest.raises(ValidationError, match="no key records"):
@@ -167,6 +181,11 @@ class TestApplySwaps:
         pairs_after = sorted(zip(swapped.g.tolist(), swapped.h.tolist()))
         assert pairs_after == pytest.approx(pairs_before)
 
+    def test_rejects_negative_count(self):
+        d = zipfian_distribution(SyntheticSpec(20, 10, 10))
+        with pytest.raises(ValidationError, match="n_swaps must be nonnegative"):
+            apply_swaps(d, -1, seed=3)
+
     def test_deterministic(self):
         d = zipfian_distribution(SyntheticSpec(30, 10, 10))
         a = apply_swaps(d, 100, seed=5)
@@ -224,6 +243,13 @@ class TestSampleRecords:
 
 
 class TestCsvRoundTrip:
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        expected = "empty file, expected header element_id,score,label"
+        with pytest.raises(ValidationError, match=expected):
+            read_records_csv(path)
+
     def test_round_trip_exact(self, tmp_path):
         records = synthesize_records(SyntheticSpec(15, 120, 80, seed=4))
         path = tmp_path / "records.csv"

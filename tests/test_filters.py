@@ -322,6 +322,21 @@ class TestSaveLoad:
         with pytest.raises(ValidationError):
             load_filter(path)
 
+    def test_rejects_file_shorter_than_its_prefix(self, tmp_path):
+        path = tmp_path / "f.plbf"
+        path.write_bytes(b"PLBF\x01")
+        with pytest.raises(ValidationError, match="truncated filter file"):
+            load_filter(path)
+
+    def test_rejects_header_that_is_not_utf8(self, tmp_path):
+        filt, _, _ = solved_filter()
+        path = tmp_path / "f.plbf"
+        filt.save(path)
+        magic, version, _ = _PREFIX.unpack_from(path.read_bytes())
+        path.write_bytes(_PREFIX.pack(magic, version, 2) + b"\xff\xfe")
+        with pytest.raises(ValidationError, match="unreadable filter header: 'utf-8' codec"):
+            load_filter(path)
+
     def test_rejects_truncated_blobs(self, tmp_path):
         filt, _, _ = solved_filter()
         path = tmp_path / "f.plbf"
@@ -363,6 +378,7 @@ class TestSaveLoad:
         (lambda h: dict(h, regions=[_drop(e, "length") for e in h["regions"]]),
          "missing field 'length'"),
         (lambda h: [h], "not a JSON object"),
+        (lambda h: _drop(h, "plan"), "filter header missing field 'plan'"),
         (lambda h: dict(h, plan=dict(h["plan"], boundaries=None)),
          "malformed plan document"),
         (lambda h: dict(h, plan=dict(h["plan"], fprs=["x"] * len(h["plan"]["fprs"]))),
@@ -385,7 +401,7 @@ class TestSaveLoad:
          "finite and nonnegative"),
         (lambda h: dict(h, comment="hi"), "not the one saving"),
         (lambda h: _with_plan(h, comment="hi"), "plan_to_dict"),
-    ], ids=["entry-not-object", "no-offset", "no-length", "header-list",
+    ], ids=["entry-not-object", "no-offset", "no-length", "header-list", "no-plan",
             "null-boundaries", "text-fprs", "nan-objective", "negative-objective",
             "null-algorithm", "stray-thresholds", "stray-n-segments", "huge-n-segments",
             "text-seed", "fractional-seed", "float-n-segments", "text-offset",

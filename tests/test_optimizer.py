@@ -178,6 +178,36 @@ class TestOptimalFprsForMemory:
         with pytest.raises(ValidationError):
             optimal_fprs_for_memory([0.5, 0.0], [0.5, 0.5], 10.0, 10.0)
 
+    def test_ratio_below_float_range_still_solves(self):
+        # G/H underflows to 0 in region 0, which has no log2; floored at
+        # 2**-1074, its divergence term is too small to count
+        f = optimal_fprs_for_memory([5e-324, 1.0], [4.0, 1.0], 100.0, 10.0)
+        assert f == [FPR_FLOOR, 2.0**-10]
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        lambda g, h: optimal_fprs_for_fpr(g, h, 0.1),
+        lambda g, h: optimal_fprs_for_memory(g, h, 100.0, 10.0),
+    ],
+    ids=["fpr", "memory"],
+)
+@pytest.mark.parametrize(
+    "key_mass, nonkey_mass",
+    [
+        ([math.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [math.inf, 0.5]),
+        ([0.5, -math.inf], [0.5, 0.5]),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, math.nan]]),
+    ],
+    ids=["nan-key", "inf-nonkey", "minus-inf-key", "nan-in-batch"],
+)
+def test_rate_solvers_reject_masses_that_are_not_finite(solver, key_mass, nonkey_mass):
+    # NaN <= 0 is false: a sign check alone lets NaN and inf through
+    with pytest.raises(ValidationError, match="region masses must be finite and positive"):
+        solver(key_mass, nonkey_mass)
+
 
 class TestSpaceAndRate:
     def test_memory_formula(self):
@@ -277,6 +307,11 @@ class TestRegionPlanValidation:
     def test_rejects_unnormalized_masses(self):
         with pytest.raises(ValidationError):
             self._plan(key_mass=(0.9, 0.5))
+
+    @pytest.mark.parametrize("field", ["key_mass", "nonkey_mass", "fprs"])
+    def test_rejects_one_entry_short(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must have one entry per region"):
+            self._plan(**{field: (1.0,)})
 
     @pytest.mark.parametrize("field", ["key_mass", "nonkey_mass"])
     @pytest.mark.parametrize("masses", [(math.nan, 0.5), (1.5, -0.5)], ids=["nan", "negative"])

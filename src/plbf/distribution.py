@@ -3,7 +3,9 @@
 Keys are members of the set being represented, non-keys are everything
 else.  Everything downstream consumes only the per-segment probability
 masses (``g`` for keys, ``h`` for non-keys), so both CSV ingestion and
-synthetic generation reduce to producing those two histograms.
+synthetic generation reduce to producing those two histograms.  A
+:class:`SegmentedDistribution` is exactly those two vectors and the key
+count; it derives its segment count and prefix sums itself.
 
 Scored elements travel as :class:`ScoreColumns`: a list of ids beside a
 float64 score array and a bool key mask.  ``read_records_csv`` parses a
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter
 from typing import NoReturn
@@ -107,28 +109,33 @@ class SegmentedDistribution:
     """Per-segment key and non-key probability masses with prefix sums.
 
     ``g[i]`` (``h[i]``) is the probability that a key (non-key) score lands in
-    segment ``i`` of the ``n_segments`` equal-width bins of [0, 1].  Prefix
-    arrays have length ``n_segments + 1`` with ``prefix[0] == 0``, so the mass
-    of 1-based segments ``lo..hi`` is ``prefix[hi] - prefix[lo - 1]``.
+    segment ``i`` of the equal-width bins of [0, 1].  The constructor takes
+    the two mass vectors as they are; :meth:`from_masses` validates and
+    normalizes raw masses first.  ``n_keys`` records how many key elements
+    produced ``g``; sizing formulas need it even though the masses
+    themselves are normalized.
 
-    ``n_keys`` records how many key elements produced ``g``; sizing formulas
-    need it even though the masses themselves are normalized.
+    Everything else is derived here, once: ``n_segments`` is the vectors'
+    length, and the prefix arrays have ``n_segments + 1`` entries with
+    ``prefix[0] == 0``, so the mass of 1-based segments ``lo..hi`` is
+    ``prefix[hi] - prefix[lo - 1]``.  All four arrays are read-only.
     """
 
-    n_segments: int
     g: np.ndarray
     h: np.ndarray
-    g_prefix: np.ndarray
-    h_prefix: np.ndarray
     n_keys: int
+    n_segments: int = field(init=False)
+    g_prefix: np.ndarray = field(init=False)
+    h_prefix: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.n_segments
-        if self.g.shape != (n,) or self.h.shape != (n,):
-            raise ValidationError("mass arrays must have one entry per segment")
-        if self.g_prefix.shape != (n + 1,) or self.h_prefix.shape != (n + 1,):
-            raise ValidationError("prefix arrays must have n_segments + 1 entries")
-        for arr in (self.g, self.h, self.g_prefix, self.h_prefix):
+        g, h = self.g, self.h
+        if g.ndim != 1 or g.shape != h.shape or g.size < 1:
+            raise ValidationError("mass vectors must be 1-D and equally sized")
+        object.__setattr__(self, "n_segments", int(g.size))
+        object.__setattr__(self, "g_prefix", np.concatenate(([0.0], np.cumsum(g))))
+        object.__setattr__(self, "h_prefix", np.concatenate(([0.0], np.cumsum(h))))
+        for arr in (g, h, self.g_prefix, self.h_prefix):
             arr.setflags(write=False)
 
     @classmethod
@@ -148,6 +155,7 @@ class SegmentedDistribution:
         """
         g = np.array(key_mass, dtype=np.float64)
         h = np.array(nonkey_mass, dtype=np.float64)
+        # the constructor checks this too; here it comes before the value checks
         if g.ndim != 1 or g.shape != h.shape or g.size < 1:
             raise ValidationError("mass vectors must be 1-D and equally sized")
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
@@ -160,18 +168,7 @@ class SegmentedDistribution:
                 raise ValidationError("each mass vector needs positive total mass")
             g = g / gs
             h = h / hs
-        return _build(int(g.size), g, h, n_keys)
-
-
-def _build(n_segments: int, g: np.ndarray, h: np.ndarray, n_keys: int) -> SegmentedDistribution:
-    return SegmentedDistribution(
-        n_segments=n_segments,
-        g=g,
-        h=h,
-        g_prefix=np.concatenate(([0.0], np.cumsum(g))),
-        h_prefix=np.concatenate(([0.0], np.cumsum(h))),
-        n_keys=n_keys,
-    )
+        return cls(g, h, n_keys)
 
 
 def segment_scores(records, n_segments: int) -> SegmentedDistribution:
@@ -203,12 +200,7 @@ def segment_scores(records, n_segments: int) -> SegmentedDistribution:
         raise ValidationError("no key records: at least one record must have label 1")
     if n_nonkeys == 0:
         raise ValidationError("no non-key records: at least one record must have label 0")
-    return _build(
-        n_segments,
-        key_counts / n_keys,
-        nonkey_counts / n_nonkeys,
-        n_keys,
-    )
+    return SegmentedDistribution(key_counts / n_keys, nonkey_counts / n_nonkeys, n_keys)
 
 
 def is_ideal(dist: SegmentedDistribution) -> bool:
@@ -269,7 +261,7 @@ def zipfian_distribution(spec: SyntheticSpec) -> SegmentedDistribution:
     satisfies :func:`is_ideal`.
     """
     g, h = _zipf_base(spec.n_segments, spec.zipf_exponent)
-    dist = _build(spec.n_segments, g, h, spec.n_keys)
+    dist = SegmentedDistribution(g, h, spec.n_keys)
     if spec.n_swaps:
         dist = apply_swaps(dist, spec.n_swaps, spec.seed)
     return dist
@@ -289,12 +281,8 @@ def apply_swaps(dist: SegmentedDistribution, n_swaps: int, seed: int) -> Segment
     g = dist.g.tolist()
     h = dist.h.tolist()
     _swap_adjacent(_rng(seed), n_swaps, g, h)
-    return _build(
-        dist.n_segments,
-        np.asarray(g, dtype=np.float64),
-        np.asarray(h, dtype=np.float64),
-        dist.n_keys,
-    )
+    return SegmentedDistribution(np.asarray(g, dtype=np.float64),
+                                 np.asarray(h, dtype=np.float64), dist.n_keys)
 
 
 def _apportion(total: int, masses: np.ndarray) -> np.ndarray:

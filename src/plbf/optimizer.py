@@ -194,7 +194,7 @@ def ensure_positive_masses(dist: SegmentedDistribution) -> SegmentedDistribution
         return dist
     g = np.where(dist.g <= 0, MASS_FLOOR, dist.g)
     h = np.where(dist.h <= 0, MASS_FLOOR, dist.h)
-    return SegmentedDistribution.from_masses(g, h, dist.n_keys, normalize=False)
+    return SegmentedDistribution(g, h, dist.n_keys)
 
 
 def _positive_masses(key_mass, nonkey_mass) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -94,6 +94,16 @@ class TestBloomFilter:
         filt = BloomFilter(64, 2, seed=0)
         assert not filt.contains("anything")
 
+    def test_never_equals_another_type(self):
+        filt = BloomFilter(64, 2, seed=0)
+        assert not filt == filt.to_bytes()
+        assert filt != "BloomFilter"
+
+    def test_repr_names_its_parameters(self):
+        filt = BloomFilter(64, 2, seed=5)
+        filt.insert("x")
+        assert repr(filt) == "BloomFilter(n_bits=64, n_hashes=2, seed=5, n_inserted=1)"
+
     def test_for_capacity_rejects_rate_one(self):
         with pytest.raises(ValidationError):
             BloomFilter.for_capacity(10, 1.0)

@@ -9,6 +9,7 @@ from plbf import (
     SyntheticSpec,
     ValidationError,
     apply_swaps,
+    ensure_positive_masses,
     is_ideal,
     read_records_csv,
     sample_records,
@@ -72,6 +73,42 @@ class TestSegmentedDistribution:
     def test_rejects_side_without_mass(self):
         with pytest.raises(ValidationError, match="each mass vector needs positive total mass"):
             SegmentedDistribution.from_masses([0.0, 0.0], [1.0, 1.0], n_keys=1)
+
+    @pytest.mark.parametrize("g, h", [
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.ones(3), np.ones(2)),
+        (np.ones(0), np.ones(0)),
+    ], ids=["2-D", "mismatched", "empty"])
+    def test_constructor_rejects_bad_shapes(self, g, h):
+        with pytest.raises(ValidationError, match="^mass vectors must be 1-D and equally sized$"):
+            SegmentedDistribution(g, h, 1)
+
+    def test_constructor_derives_read_only_arrays(self):
+        d = SegmentedDistribution(np.array([0.25, 0.75]), np.array([0.5, 0.5]), 4)
+        assert (d.n_segments, d.n_keys) == (2, 4)
+        assert d.g_prefix.tolist() == [0.0, 0.25, 1.0]
+        assert d.h_prefix.tolist() == [0.0, 0.5, 1.0]
+        for arr in (d.g, d.h, d.g_prefix, d.h_prefix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.7
+
+    @pytest.mark.parametrize("producer", [
+        lambda: SegmentedDistribution.from_masses([3, 0, 1, 2], [1, 1, 0, 5], n_keys=6),
+        lambda: SegmentedDistribution.from_masses([0.1, 0.2, 0.7], [0.6, 0.3, 0.1], n_keys=9,
+                                                  normalize=False),
+        lambda: segment_scores(synthesize_records(SyntheticSpec(13, 50, 40, seed=2)), 13),
+        lambda: zipfian_distribution(SyntheticSpec(20, 100, 100)),
+        lambda: apply_swaps(zipfian_distribution(SyntheticSpec(20, 100, 100)), 7, seed=3),
+        lambda: ensure_positive_masses(
+            SegmentedDistribution.from_masses([1, 0, 2, 0], [0, 2, 1, 1], n_keys=3)),
+    ], ids=["from_masses", "from_masses-raw", "segment_scores", "zipfian", "apply_swaps",
+            "ensure_positive_masses"])
+    def test_every_producer_derives_the_same_prefixes(self, producer):
+        d = producer()
+        assert d.n_segments == d.g.size == d.h.size
+        for mass, prefix in ((d.g, d.g_prefix), (d.h, d.h_prefix)):
+            expected = np.concatenate(([0.0], np.cumsum(mass)))
+            assert prefix.tobytes() == expected.tobytes()
 
 
 class TestSegmentScores:

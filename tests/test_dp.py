@@ -8,6 +8,7 @@ from conftest import CountingMatrix, planted_monotone_matrix, random_distributio
 
 from plbf import (
     DenseMatrix,
+    DPTable,
     InfeasibleError,
     SegmentedDistribution,
     SyntheticSpec,
@@ -109,6 +110,12 @@ class TestDivergenceTable:
             divergence_table(d, 3)  # k must stay below n
 
 
+class TestDPTable:
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValidationError, match="values and parents must have matching shapes"):
+            DPTable(np.zeros((3, 2)), np.zeros((3, 3), dtype=np.int32))
+
+
 class TestTraceBoundaries:
     def test_smallest_feasible_prefix_forces_singletons(self):
         d = random_distribution(np.random.default_rng(5), 9)
@@ -128,6 +135,17 @@ class TestTraceBoundaries:
         table = divergence_table(d, 4)
         with pytest.raises(InfeasibleError):
             trace_boundaries(table, 2, 4)  # 1 segment cannot fill 3 regions
+
+    def test_missing_parent_raises(self):
+        table = DPTable(np.zeros((3, 2)), np.full((3, 2), -1, dtype=np.int32))
+        with pytest.raises(InfeasibleError, match=r"no clustering recorded at table cell \(2, 1\)"):
+            trace_boundaries(table, 3, 2)
+
+    def test_parent_chain_must_reach_the_first_segment(self):
+        parents = np.full((3, 2), -1, dtype=np.int32)
+        parents[2, 1] = 2  # the one region would start at segment 2, leaving segment 1 over
+        with pytest.raises(InfeasibleError, match="parent chain did not consume the whole prefix"):
+            trace_boundaries(DPTable(np.zeros((3, 2)), parents), 3, 2)
 
     def test_out_of_range_cell_raises(self):
         d = random_distribution(np.random.default_rng(7), 6)
@@ -150,6 +168,9 @@ class TestMonotoneRowMaxima:
     def test_single_row_and_single_column(self):
         assert monotone_row_maxima(DenseMatrix([[3.0, 9.0, 1.0]])) == [(1, 9.0)]
         assert monotone_row_maxima(DenseMatrix([[2.0], [5.0]])) == [(0, 2.0), (0, 5.0)]
+
+    def test_no_rows_gives_no_maxima(self):
+        assert monotone_row_maxima(DenseMatrix([])) == []
 
     def test_ties_resolve_to_smallest_column(self):
         matrix = DenseMatrix([[1.0, 4.0, 4.0], [0.0, 4.0, 4.0]])

@@ -161,6 +161,18 @@ class TestBuildFilter:
         assert a == b
 
 
+class TestEqualityAndRepr:
+    def test_never_equals_another_type(self):
+        filt, _, plan = solved_filter()
+        assert not filt == plan
+        assert filt != filt.region_filters
+
+    def test_repr_counts_stored_regions_and_bits(self):
+        # region 1 gets no keys and stores nothing; 10 keys at rate 0.02 take 82 bits
+        filt = build_filter(key_records(10, 0.0, 0.49), make_plan())
+        assert repr(filt) == "PlbfFilter(n_regions=2, stored=1, total_bits=82)"
+
+
 class TestQueryRouting:
     def test_region_of_matches_boundaries(self):
         filt, _, plan = solved_filter()

@@ -37,6 +37,15 @@ class TestBestClusteringExhaustive:
             divergence(d, 1, 2) + divergence(d, 3, 3), abs=1e-12
         )
 
+    def test_empty_sides_on_an_unfloored_histogram(self):
+        d = SegmentedDistribution.from_masses(
+            [0.0, 0.5, 0.5, 0.0], [0.5, 0.25, 0.0, 0.25], n_keys=4, normalize=False
+        )
+        # no key mass: the region contributes nothing
+        assert best_clustering_exhaustive(d, 2, 2) == (0.0, (1,))
+        # key mass over no non-key mass: (2, 3) ends in an infinite region
+        assert best_clustering_exhaustive(d, 4, 3) == (np.inf, (2, 3))
+
     def test_degenerate_prefix_forces_singletons(self):
         d = random_distribution(np.random.default_rng(0), 6)
         _, ends = best_clustering_exhaustive(d, 3, 3)

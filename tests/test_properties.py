@@ -7,6 +7,7 @@ Runs are derandomized so the suite stays deterministic.
 """
 
 import tempfile
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from plbf import (
     BuildConfig,
     InfeasibleError,
     SegmentedDistribution,
+    SyntheticSpec,
+    ValidationError,
     bloom_memory_bits,
     build_filter,
     divergence_table,
@@ -32,6 +35,7 @@ from plbf import (
     segment_scores,
     solve,
     trace_boundaries,
+    zipfian_distribution,
 )
 from plbf.dp import NEG_INF, _TableBuilder, trace_layouts
 
@@ -187,3 +191,55 @@ def test_built_filters_hold_their_keys_and_round_trip(case, n_keys, n_nonkeys, s
         assert loaded == filt
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
+
+
+@cache
+def saved_filter_bytes() -> bytes:
+    """A saved filter with stored and empty regions, built once."""
+    d = zipfian_distribution(SyntheticSpec(12, 300, 300, n_swaps=3, seed=1))
+    plan = solve(d, BuildConfig("fpr", n_segments=12, n_regions=4, target_fpr=0.05))
+    keys = [rec for rec in sample_records(d, 300, 0, seed=2) if rec.score >= 0.5]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.plbf"
+        build_filter(keys, plan, seed=3).save(path)
+        return path.read_bytes()
+
+
+JSON_TEXT = st.text('{}[]",:-+.0123456789eEtruefalsn ', min_size=1, max_size=8)
+FILE_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0)),
+    st.tuples(st.just("insert"), st.integers(0), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("overwrite"), st.integers(0), JSON_TEXT.map(str.encode)),
+)
+
+
+def edited(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, where, *arg in edits:
+        at = where % (len(out) + 1)
+        if kind == "flip":
+            if at < len(out):
+                out[at] ^= 1 << arg[0]
+        elif kind == "truncate":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = arg[0]
+        else:
+            out[at:at + len(arg[0])] = arg[0]
+    return bytes(out)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(FILE_EDITS, min_size=1, max_size=3))
+def test_corrupt_filter_file_is_rejected_or_round_trips(edits):
+    data = edited(saved_filter_bytes(), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "edited.plbf", Path(tmp) / "again.plbf"
+        path.write_bytes(data)
+        try:
+            loaded = load_filter(path)
+        except ValidationError:
+            return
+        loaded.save(again)
+        assert again.read_bytes() == data

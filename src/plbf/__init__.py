@@ -34,7 +34,7 @@ from .dp import (
     divergence_table,
     divergence_table_monotone,
     monotone_row_maxima,
-    trace_boundaries,
+    trace_layouts,
 )
 from .errors import InfeasibleError, PlbfError, ValidationError
 from .filters import PlbfFilter, build_filter, load_filter, region_seed
@@ -107,7 +107,7 @@ __all__ = [
     "solve",
     "solve_timed",
     "synthesize_records",
-    "trace_boundaries",
+    "trace_layouts",
     "write_records_csv",
     "zipfian_distribution",
 ]

@@ -370,15 +370,15 @@ def read_records_csv(path) -> ScoreColumns:
     counts lines (a quoted id spanning lines advances the count).  A
     header-only file yields empty columns.
     """
-    with _open_csv(path) as fh:
+    with _open_csv(path) as reader:
         ids, score_texts, labels = [], [], []
         add_id, add_score, add_label = ids.append, score_texts.append, labels.append
         try:
-            for element_id, score_text, label in _rows(fh, path):
+            for element_id, score_text, label in reader:
                 add_id(element_id)
                 add_score(score_text)
                 add_label(label)
-        except ValueError:  # a row without exactly three fields, or bytes not UTF-8
+        except (ValueError, csv.Error):  # not three fields, not UTF-8, or too long a field
             _raise_first_bad_row(path)
     try:
         scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
@@ -394,37 +394,37 @@ def read_records_csv(path) -> ScoreColumns:
 
 @contextmanager
 def _open_csv(path):
+    """A csv reader over ``path`` positioned after its checked header.
+
+    Bytes that are not UTF-8, and rows the csv module rejects (such as a
+    field longer than ``csv.field_size_limit()``), raise a validation error.
+    """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
+        reader = csv.reader(fh)
         try:
-            yield fh
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file, expected header "
+                                      f"{','.join(CSV_HEADER)}")
+            if tuple(header) != CSV_HEADER:
+                raise ValidationError(
+                    f"{path}: bad header {header!r}, expected {list(CSV_HEADER)}"
+                )
+            yield reader
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.end]
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
-
-
-def _rows(fh, path):
-    """A csv reader over ``fh`` positioned after its checked header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, expected header "
-                              f"{','.join(CSV_HEADER)}") from None
-    if tuple(header) != CSV_HEADER:
-        raise ValidationError(
-            f"{path}: bad header {header!r}, expected {list(CSV_HEADER)}"
-        )
-    return reader
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _raise_first_bad_row(path) -> NoReturn:
     """Re-read ``path`` row by row and raise the error of its first bad row."""
-    with _open_csv(path) as fh:
-        reader = _rows(fh, path)
+    with _open_csv(path) as reader:
         for row in reader:
             line = reader.line_num
             if len(row) != 3:

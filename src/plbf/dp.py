@@ -22,6 +22,10 @@ Two builders produce these tables:
   which holds whenever the score distribution is ideal; otherwise entries
   can fall below the exhaustive table, never above.
 
+:func:`trace_layouts` is the one backtrace: it walks ``parents`` back from
+many final-region starts at once and checks every step, so a malformed
+table raises rather than yielding a layout that is not a clustering.
+
 All functions are pure; tables are immutable once returned.
 """
 
@@ -90,6 +94,8 @@ class DPTable:
     def __post_init__(self) -> None:
         if self.values.shape != self.parents.shape:
             raise ValidationError("values and parents must have matching shapes")
+        if not np.issubdtype(self.parents.dtype, np.integer):
+            raise ValidationError("parents must be an integer array")
         self.values.setflags(write=False)
         self.parents.setflags(write=False)
 
@@ -318,53 +324,41 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     return DPTable(values, parents)
 
 
-def trace_boundaries(table: DPTable, boundary_segment: int, n_regions: int) -> list[int]:
-    """Region ends for clustering segments 1..boundary_segment-1 into n_regions-1.
-
-    Returns ``n_regions - 1`` ascending 1-based segment indices, the last of
-    which is ``boundary_segment - 1``.  Raises when the requested cell is
-    unreachable (e.g. fewer segments than regions).
-    """
-    p, q = boundary_segment - 1, n_regions - 1
-    if not (0 <= p < table.n_rows and 0 <= q < table.n_cols):
-        raise ValidationError(
-            f"cell ({p}, {q}) outside table of shape {table.values.shape}"
-        )
-    if table.values[p, q] == NEG_INF:
-        raise InfeasibleError(
-            f"no clustering of {p} segments into {q} regions (table value is -inf)"
-        )
-    parents = table.parents
-    ends: list[int] = []
-    while q >= 1:
-        ends.append(p)
-        start = int(parents[p, q])
-        if start < 1:
-            raise InfeasibleError(f"no clustering recorded at table cell ({p}, {q})")
-        p = start - 1
-        q -= 1
-    if p != 0:
-        raise InfeasibleError("parent chain did not consume the whole prefix")
-    ends.reverse()
-    return ends
-
-
 def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
-    """The layouts :func:`trace_boundaries` traces, for many starts at once.
+    """Region boundaries of the clusterings the table records, one row per start.
 
-    Row i of the (len(starts) x (n_regions + 1)) result is
-    ``[0, *trace_boundaries(table, starts[i], n_regions), table.n_rows]``:
-    each layout's region boundaries, its final region starting at segment
-    ``starts[i]``.  Every start's cell must be reachable (not -inf); the
-    walk back is one gather of ``parents`` per region.
+    Row i is ``[0, b_1, ..., b_(n_regions-1), table.n_rows]``: the segments
+    1..starts[i]-1 clustered into ``n_regions - 1`` regions ending at b_1 <
+    ... < b_(n_regions-1) = starts[i] - 1, then the final region from
+    ``starts[i]``.  Starts whose cell (starts[i] - 1, n_regions - 1) is -inf
+    have no clustering and get no row; the other rows keep the order of
+    ``starts``.  The walk back is one gather of ``parents`` per region.
+
+    A start or region count outside the table raises ValidationError.  A
+    parent that does not begin a nonempty region inside its prefix, or a
+    chain that does not end at the empty prefix, raises InfeasibleError.
     """
     p = np.asarray(starts, dtype=np.int64) - 1
+    q = n_regions - 1
+    outside = (p < 0) | (p >= table.n_rows)
+    if outside.any() or not 0 <= q < table.n_cols:
+        at = p[outside.argmax()] if p.size else 0
+        raise ValidationError(f"cell ({at}, {q}) outside table of shape {table.values.shape}")
+    p = p[table.values[p, q] != NEG_INF]
     bounds = np.empty((p.size, n_regions + 1), dtype=np.int64)
     bounds[:, n_regions] = table.n_rows
     for q in range(n_regions - 1, 0, -1):
         bounds[:, q] = p
-        p = table.parents[p, q] - 1
-    bounds[:, 0] = p  # every reachable chain ends at the empty prefix
+        first = table.parents[p, q]
+        missing = (first < 1) | (first > p)
+        if missing.any():
+            raise InfeasibleError(
+                f"no clustering recorded at table cell ({p[missing.argmax()]}, {q})"
+            )
+        p = first - 1
+    if p.any():
+        raise InfeasibleError("parent chain did not consume the whole prefix")
+    bounds[:, 0] = 0
     return bounds
 
 

@@ -15,9 +15,10 @@ false-positive rate per region, from the closed-form optimum of the framework:
   scale of G_i / H_i.  A region whose G_i / H_i overflows would make beta
   infinite, so it starts clamped at 1.
 
-The sweep gathers every candidate layout first: ``fast``, ``fastpp`` and
-``relaxed`` trace all their reachable final-region starts from one table at
-once (``plbf`` re-plans each start and traces it alone), and layouts with a
+The sweep gathers every candidate layout first with ``dp.trace_layouts``,
+which skips starts the table cannot reach: ``fast``, ``fastpp`` and
+``relaxed`` trace all their final-region starts from one table at once
+(``plbf`` re-plans each start and traces it alone), and layouts with a
 region of zero mass are dropped.  One call of the framework's rate solver
 then takes all layouts as a (layouts x regions) batch, and the scores are
 computed as arrays: total filter memory (``fpr`` framework) or expected
@@ -50,7 +51,6 @@ from .dp import (
     divergence_table,
     divergence_table_monotone,
     divergences,
-    trace_boundaries,
     trace_layouts,
 )
 from .errors import InfeasibleError, ValidationError
@@ -426,9 +426,9 @@ def solve_timed(
             t0 = time.perf_counter()
             table = builder.build(j, k)
             dp_seconds += time.perf_counter() - t0
-            if table.values[j - 1, k - 1] != NEG_INF:
-                layouts.append([0, *trace_boundaries(table, j, k), n])
-        bounds = np.array(layouts, dtype=np.int64).reshape(-1, k + 1)
+            layouts.append(trace_layouts(table, [j], k))
+        bounds = np.concatenate(layouts)
+        bounds[:, k] = n  # each table ends where its final region begins
     else:
         table = planning_table(dist, config)
         dp_seconds = time.perf_counter() - started
@@ -440,8 +440,7 @@ def solve_timed(
                 totals = table.values[k - 1 : n, k - 1] + divergences(dist, starts - 1, n)
             totals[np.isnan(totals)] = NEG_INF  # an unreachable prefix, an infinite tail
             starts = starts[[np.argmax(totals)]]  # ties go to the smallest start
-        # a start the approximate table cannot reach has no layout
-        bounds = trace_layouts(table, starts[table.values[starts - 1, k - 1] != NEG_INF], k)
+        bounds = trace_layouts(table, starts, k)
     del table  # no longer needed: the rate solves below peak lower without it
 
     key_mass = np.diff(dist.g_prefix[bounds])

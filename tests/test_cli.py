@@ -469,6 +469,23 @@ class TestParsing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{data}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("command", ["build", "query"])
+    def test_field_over_the_csv_limit_exits_one(self, tmp_path, capsys, command):
+        filt = tmp_path / "f.plbf"
+        assert run("build", "--data", str(gen_dataset(tmp_path / "good.csv")),
+                   "--out", str(filt), "--segments", "80", "--regions", "4") == 0
+        data = tmp_path / "data.csv"
+        data.write_text(f"element_id,score,label\na,0.5,1\n{'x' * 200_000},0.25,0\n")
+        args = {
+            "build": ("--out", str(tmp_path / "x.plbf"), "--segments", "3", "--regions", "2"),
+            "query": ("--filter", str(filt)),
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--data", str(data), *args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:3: field larger than field limit (131072)\n"
+        )
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             run("build")  # missing required flags

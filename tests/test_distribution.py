@@ -352,6 +352,18 @@ class TestCsvRoundTrip:
             read_records_csv(path)
 
 
+    @pytest.mark.parametrize("text, line", [
+        ("element_id{long},score,label\nx,0.5,1\n", 1),
+        ('element_id,score,label\nx,0.5,1\n"two\nlines",0.5,0\n{long},0.5,1\n', 5),
+        ("element_id,score,label\nx,0.5,2\n{long},0.5,1\n", 2),  # the earlier bad row
+    ], ids=["header", "row", "earlier-bad-row"])
+    def test_rejects_a_field_over_the_csv_limit(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text.format(long="x" * 200_000))
+        with pytest.raises(ValidationError, match=rf"bad\.csv:{line}: "):
+            read_records_csv(path)
+
+
 class TestSyntheticSpecValidation:
     def test_rejects_tiny_segment_count(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from plbf import (
     divergence_table,
     divergence_table_monotone,
     monotone_row_maxima,
-    trace_boundaries,
+    trace_layouts,
     zipfian_distribution,
 )
 from plbf.dp import write_table_csv
@@ -116,11 +117,19 @@ class TestDPTable:
             DPTable(np.zeros((3, 2)), np.zeros((3, 3), dtype=np.int32))
 
 
+def hand_made_table(shape, parents=()):
+    """A table of zero values whose parents are -1 except at the given cells."""
+    table = np.full(shape, -1, dtype=np.int32)
+    for cell, first in dict(parents).items():
+        table[cell] = first
+    return DPTable(np.zeros(shape), table)
+
+
 class TestTraceBoundaries:
     def test_smallest_feasible_prefix_forces_singletons(self):
         d = random_distribution(np.random.default_rng(5), 9)
         table = divergence_table(d, 4)
-        assert trace_boundaries(table, 4, 4) == [1, 2, 3]
+        assert trace_layouts(table, [4], 4).tolist() == [[0, 1, 2, 3, 9]]
 
     def test_clear_cut_instance(self):
         d = SegmentedDistribution.from_masses(
@@ -128,30 +137,62 @@ class TestTraceBoundaries:
             normalize=False,
         )
         table = divergence_table(d, 3)
-        assert trace_boundaries(table, 4, 3) == [2, 3]
+        assert trace_layouts(table, [4], 3).tolist() == [[0, 2, 3, 4]]
 
-    def test_unreachable_cell_raises(self):
+    def test_unreachable_cell_gets_no_row(self):
+        # the others keep their order
         d = random_distribution(np.random.default_rng(6), 6)
         table = divergence_table(d, 4)
-        with pytest.raises(InfeasibleError):
-            trace_boundaries(table, 2, 4)  # 1 segment cannot fill 3 regions
+        assert trace_layouts(table, [2], 4).shape == (0, 5)  # 1 segment cannot fill 3 regions
+        assert trace_layouts(table, [5, 2, 4], 4).tolist() == (
+            trace_layouts(table, [5], 4).tolist() + trace_layouts(table, [4], 4).tolist()
+        )
 
     def test_missing_parent_raises(self):
-        table = DPTable(np.zeros((3, 2)), np.full((3, 2), -1, dtype=np.int32))
+        # the walk once turned this -1 parent into boundary -2
+        table = hand_made_table((3, 2))
         with pytest.raises(InfeasibleError, match=r"no clustering recorded at table cell \(2, 1\)"):
-            trace_boundaries(table, 3, 2)
+            trace_layouts(table, [3], 2)
 
     def test_parent_chain_must_reach_the_first_segment(self):
-        parents = np.full((3, 2), -1, dtype=np.int32)
-        parents[2, 1] = 2  # the one region would start at segment 2, leaving segment 1 over
+        # the one region would start at segment 2, leaving segment 1 over
+        table = hand_made_table((3, 2), {(2, 1): 2})
         with pytest.raises(InfeasibleError, match="parent chain did not consume the whole prefix"):
-            trace_boundaries(DPTable(np.zeros((3, 2)), parents), 3, 2)
+            trace_layouts(table, [3], 2)
 
     def test_out_of_range_cell_raises(self):
         d = random_distribution(np.random.default_rng(7), 6)
         table = divergence_table(d, 3)
-        with pytest.raises(ValidationError):
-            trace_boundaries(table, 9, 3)
+        with pytest.raises(ValidationError, match=r"cell \(8, 2\) outside table of shape \(6, 3\)"):
+            trace_layouts(table, [9], 3)
+
+    @pytest.mark.parametrize("starts, n_regions, cell", [
+        ([0], 3, "(-1, 2)"),
+        ([3, 7], 3, "(6, 2)"),
+        ([3], 4, "(2, 3)"),
+        ([3], 0, "(2, -1)"),
+        ([], 5, "(0, 4)"),
+    ], ids=["start-0", "start-past-end", "too-many-regions", "no-regions", "no-starts"])
+    def test_every_start_and_region_count_is_checked(self, starts, n_regions, cell):
+        d = random_distribution(np.random.default_rng(7), 6)
+        table = divergence_table(d, 3)
+        with pytest.raises(ValidationError, match=re.escape(f"cell {cell} outside table")):
+            trace_layouts(table, starts, n_regions)
+
+    def test_parent_past_its_row_raises(self):
+        table = hand_made_table((3, 3), {(2, 2): 5})
+        with pytest.raises(InfeasibleError, match=r"no clustering recorded at table cell \(2, 2\)"):
+            trace_layouts(table, [3], 3)
+
+    def test_zero_width_region_raises(self):
+        # parent p + 1 at cell (3, 2) would start a region after its own end
+        table = hand_made_table((4, 3), {(3, 2): 4, (3, 1): 1})
+        with pytest.raises(InfeasibleError, match=r"no clustering recorded at table cell \(3, 2\)"):
+            trace_layouts(table, [4], 3)
+
+    def test_parents_must_be_integers(self):
+        with pytest.raises(ValidationError, match="parents must be an integer array"):
+            DPTable(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 class TestMonotoneRowMaxima:
@@ -258,8 +299,8 @@ class TestMonotoneTable:
         assert np.allclose(
             full.values[reachable], mono.values[reachable], rtol=1e-9, atol=1e-12
         )
-        for j in range(5, 101):
-            assert trace_boundaries(mono, j, 5) == trace_boundaries(full, j, 5)
+        starts = range(5, 101)
+        assert trace_layouts(mono, starts, 5).tolist() == trace_layouts(full, starts, 5).tolist()
 
     def test_never_exceeds_full_table(self):
         rng = np.random.default_rng(10)

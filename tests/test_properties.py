@@ -18,6 +18,7 @@ from plbf import (
     ALGORITHMS,
     LOG2_E,
     BuildConfig,
+    DPTable,
     InfeasibleError,
     SegmentedDistribution,
     SyntheticSpec,
@@ -34,10 +35,10 @@ from plbf import (
     sample_records,
     segment_scores,
     solve,
-    trace_boundaries,
+    trace_layouts,
     zipfian_distribution,
 )
-from plbf.dp import NEG_INF, _TableBuilder, trace_layouts
+from plbf.dp import NEG_INF, _TableBuilder
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -103,20 +104,78 @@ def test_per_start_tables_are_windows_of_the_full_table(case):
             assert table.parents.tobytes() == full.parents[:j].tobytes()
 
 
-def reachable_starts(table, k):
-    return [j for j in range(k, table.n_rows + 1) if table.values[j - 1, k - 1] != NEG_INF]
+def one_walk(table, boundary_segment, n_regions):
+    """Region ends of one start's clustering, read one parent at a time.
+
+    The scalar walk the batched ``trace_layouts`` replaced, kept as its
+    reference: ``n_regions - 1`` ascending 1-based segment indices, the last
+    of which is ``boundary_segment - 1``.  The start's cell must be reachable.
+    """
+    p, q = boundary_segment - 1, n_regions - 1
+    assert table.values[p, q] != NEG_INF
+    ends = []
+    while q >= 1:
+        ends.append(p)
+        start = int(table.parents[p, q])
+        assert 1 <= start <= p
+        p = start - 1
+        q -= 1
+    assert p == 0
+    ends.reverse()
+    return ends
 
 
 @PROPERTY_SETTINGS
 @given(case=planning_inputs())
 def test_traced_layouts_match_one_walk_per_start(case):
+    # every start is traced; the unreachable ones get no row
     raw = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
     k = case["n_regions"]
     for d in (raw, ensure_positive_masses(raw)):
         for table in (divergence_table(d, k), divergence_table_monotone(d, k)):
-            starts = reachable_starts(table, k)
+            starts = range(k, d.n_segments + 1)
+            reachable = [j for j in starts if table.values[j - 1, k - 1] != NEG_INF]
             layouts = trace_layouts(table, starts, k).tolist()
-            assert layouts == [[0, *trace_boundaries(table, j, k), d.n_segments] for j in starts]
+            assert layouts == [[0, *one_walk(table, j, k), d.n_segments] for j in reachable]
+
+
+def mostly_inside(lo, hi):
+    """Integers in lo..hi, and rarely one just outside."""
+    return st.sampled_from([*range(lo, hi + 1)] * 4 + [lo - 1, hi + 1])
+
+
+@st.composite
+def hand_made_tables(draw):
+    """Tables with arbitrary -inf cells and parents, and a trace request on them."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = n_rows * n_cols
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, NEG_INF]), min_size=cells, max_size=cells))
+    # the parent of a cell in row p is valid in 1..p
+    parents = [draw(mostly_inside(1, p)) for p in range(n_rows) for _ in range(n_cols)]
+    table = DPTable(
+        np.array(values).reshape(n_rows, n_cols),
+        np.array(parents, dtype=np.int32).reshape(n_rows, n_cols),
+    )
+    starts = draw(st.lists(mostly_inside(1, n_rows), min_size=1, max_size=3))
+    return table, starts, draw(mostly_inside(1, n_cols))
+
+
+@PROPERTY_SETTINGS
+@given(request=hand_made_tables())
+def test_walk_on_any_table_raises_or_yields_clusterings(request):
+    # a malformed table raises a planning error; whatever the walk returns
+    # is a clustering that rises strictly from 0 to n_rows, one per
+    # reachable start, in the order of the starts
+    table, starts, k = request
+    try:
+        bounds = trace_layouts(table, starts, k)
+    except (ValidationError, InfeasibleError):
+        return
+    assert bounds.shape[1] == k + 1
+    assert (bounds[:, 0] == 0).all() and (bounds[:, -1] == table.n_rows).all()
+    assert (np.diff(bounds, axis=1) > 0).all()
+    reachable = [j for j in starts if table.values[j - 1, k - 1] != NEG_INF]
+    assert (bounds[:, -2] + 1).tolist() == reachable
 
 
 @PROPERTY_SETTINGS
@@ -130,7 +189,7 @@ def test_batched_rates_equal_one_call_per_layout(case):
     )
     k = case["n_regions"]
     table = divergence_table(d, k)
-    bounds = trace_layouts(table, reachable_starts(table, k), k)
+    bounds = trace_layouts(table, range(k, d.n_segments + 1), k)
     key_mass, nonkey_mass = np.diff(d.g_prefix[bounds]), np.diff(d.h_prefix[bounds])
     solvable = (key_mass != 0.0).all(axis=1) & (nonkey_mass != 0.0).all(axis=1)
     key_mass, nonkey_mass = key_mass[solvable], nonkey_mass[solvable]

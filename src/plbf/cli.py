@@ -115,8 +115,6 @@ def cmd_gen(args) -> int:
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
     target_fpr, memory_bits = _budget(args)
-    columns = read_records_csv(args.data)
-    dist = segment_scores(columns, args.segments)
     config = BuildConfig(
         framework=args.framework,
         n_segments=args.segments,
@@ -125,6 +123,8 @@ def cmd_build(args) -> int:
         target_fpr=target_fpr,
         memory_bits=memory_bits,
     )
+    columns = read_records_csv(args.data)
+    dist = segment_scores(columns, args.segments)
     plan, stats = solve_timed(dist, config)
     keys = columns.subset(columns.is_key)
     t0 = time.perf_counter()
@@ -204,34 +204,38 @@ def cmd_bench(args) -> int:
     algorithms = _comma_list(args.algorithms, "--algorithms", _algorithm)
     segment_counts = _comma_list(args.segments, "--segments")
     region_counts = _comma_list(args.regions, "--regions")
+    configs = [
+        BuildConfig(
+            framework=args.framework,
+            n_segments=n,
+            n_regions=k,
+            algorithm=algo,
+            target_fpr=target_fpr,
+            memory_bits=memory_bits,
+        )
+        for algo in algorithms
+        for n in segment_counts
+        for k in region_counts
+    ]
     columns = read_records_csv(args.data)
     keys = columns.subset(columns.is_key)
     nonkeys = columns.subset(~columns.is_key)
     dists = {n: segment_scores(columns, n) for n in segment_counts}
     lines = [f"# schema: {BENCH_SCHEMA}"]
     lines.append("algorithm,N,k,build_ms,expected_fpr,measured_fpr,memory_bits")
-    for algo in algorithms:
-        for n in segment_counts:
-            for k in region_counts:
-                config = BuildConfig(
-                    framework=args.framework,
-                    n_segments=n,
-                    n_regions=k,
-                    algorithm=algo,
-                    target_fpr=target_fpr,
-                    memory_bits=memory_bits,
-                )
-                timings = []
-                for _ in range(args.repeat):
-                    t0 = time.perf_counter()
-                    plan, _stats = solve_timed(dists[n], config)
-                    filt = build_filter(keys, plan, seed)
-                    timings.append(time.perf_counter() - t0)
-                lines.append(
-                    f"{algo},{n},{k},{median(timings) * 1e3:.3f},"
-                    f"{expected_fpr(plan.nonkey_mass, plan.fprs):.6g},"
-                    f"{filt.measure_fpr(nonkeys):.6g},{filt.total_bits}"
-                )
+    for config in configs:
+        n = config.n_segments
+        timings = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            plan, _stats = solve_timed(dists[n], config)
+            filt = build_filter(keys, plan, seed)
+            timings.append(time.perf_counter() - t0)
+        lines.append(
+            f"{config.algorithm},{n},{config.n_regions},{median(timings) * 1e3:.3f},"
+            f"{expected_fpr(plan.nonkey_mass, plan.fprs):.6g},"
+            f"{filt.measure_fpr(nonkeys):.6g},{filt.total_bits}"
+        )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -33,9 +33,14 @@ from .errors import ValidationError
 
 CSV_HEADER = ("element_id", "score", "label")
 
-# Swap draws and score jitter come from PCG64 so that every artifact is
-# reproducible from a single integer seed.
-_rng = np.random.default_rng
+
+def _rng(seed: int) -> np.random.Generator:
+    """PCG64 from ``seed``, so every artifact is reproducible from one integer.
+
+    Swap draws and score jitter come from it.  ``numpy.random`` is looked up
+    at the call, so ``import plbf`` does not load it.
+    """
+    return np.random.default_rng(seed)
 
 
 def segment_index(score: float, n_segments: int) -> int:

@@ -22,16 +22,13 @@ import numpy as np
 from .bloom import BloomFilter, bits_for, hashes_for
 from .distribution import ScoreColumns
 from .errors import ValidationError
-from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
+from .optimizer import MAX_SEGMENTS, RegionPlan, plan_from_dict, plan_to_dict
 
 _MAGIC = b"PLBF"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
-# The region table holds a byte or four per segment; this caps it at 64 MB
-# however large a number of segments a plan, or a crafted file, claims.
-MAX_SEGMENTS = 1 << 24
 
 
 def region_seed(seed: int, region: int) -> int:

@@ -67,6 +67,12 @@ MASS_FLOOR = 1e-12
 # normal double and the surplus budget goes unspent.
 FPR_FLOOR = 2.0**-1022
 
+# The most segments a plan may have.  A filter's region table holds a byte or
+# four per segment, so this caps it at 64 MB however large a number of
+# segments a plan, or a crafted file, claims; configs above it are refused
+# before any histogram is made.
+MAX_SEGMENTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class RegionPlan:
@@ -151,6 +157,10 @@ class BuildConfig:
             raise ValidationError(
                 f"n_segments must exceed n_regions "
                 f"({self.n_segments} <= {self.n_regions})"
+            )
+        if self.n_segments > MAX_SEGMENTS:
+            raise ValidationError(
+                f"n_segments must be at most {MAX_SEGMENTS}, got {self.n_segments}"
             )
         if self.framework == "fpr":
             if self.target_fpr is None or not (0.0 < self.target_fpr < 1.0):

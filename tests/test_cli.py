@@ -27,6 +27,16 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def run_python(*argv):
+    """A fresh interpreter that imports plbf from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def gen_dataset(path, segments=80, keys=800, nonkeys=1200, seed=5, swaps=0):
     rc = run(
         "gen", "--out", str(path), "--segments", str(segments),
@@ -143,6 +153,25 @@ class TestBuild:
         )
         assert rc == 1
         assert "n_segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "bench"])
+    @pytest.mark.parametrize("segments", ["16777217", "33554432"])
+    def test_oversized_segment_count_rejected_before_reading(
+        self, tmp_path, capsys, monkeypatch, command, segments
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} read for an oversized config")
+
+        monkeypatch.setattr(cli, "read_records_csv", unread)
+        args = {
+            "build": ("--out", str(tmp_path / "x.plbf"), "--algorithm", "fastpp"),
+            "bench": ("--algorithms", "fastpp"),
+        }[command]
+        rc = run(command, "--data", str(tmp_path / "data.csv"), "--segments", segments, *args)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: n_segments must be at most 16777216, got {segments}\n"
+        )
 
     def test_mismatched_budget_flags_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path / "data.csv")
@@ -501,12 +530,16 @@ class TestParsing:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "data.csv"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "plbf", "gen", "--out", str(out),
-             "--segments", "20", "--keys", "50", "--nonkeys", "50"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        proc = run_python(
+            "-m", "plbf", "gen", "--out", str(out),
+            "--segments", "20", "--keys", "50", "--nonkeys", "50",
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the generators look numpy.random up when they draw, not at import
+        proc = run_python(
+            "-c", "import sys, plbf; print('numpy.random' in sys.modules)"
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

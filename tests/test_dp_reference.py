@@ -7,9 +7,11 @@ algorithms: one (N-1)^2 divergence matrix scanned column by column, and the
 scalar divide-and-conquer loop over single-cell ``value`` calls.
 """
 
+import tracemalloc
 from math import inf, log2
 
 import numpy as np
+import pytest
 from conftest import CountingMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from plbf import (
     monotone_row_maxima,
     zipfian_distribution,
 )
+from plbf import dp
 from plbf.dp import BLOCK_ROWS, NEG_INF, _TableBuilder
 
 REFERENCE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -149,6 +152,52 @@ def test_row_blocks_equal_the_full_matrix_tables(n, k, seed):
             values, parents = reference_table(d, j, k)
             assert window.values.tobytes() == values.tobytes(), j
             assert window.parents.tobytes() == parents.tobytes(), j
+
+
+@REFERENCE_SETTINGS
+@given(
+    n=st.integers(8, 40),
+    k=st.integers(2, 6),
+    rows=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_byte_budgeted_blocks_equal_the_full_matrix_tables(n, k, rows, seed):
+    # a budget of `rows` table rows per block: every block after the first
+    # reuses the scratch buffers at a shape of its own, and the raw
+    # histograms' zero masses put +-inf into the columns scanned before the
+    # NaN repairs.  Every window length is built, so every block edge has
+    # starts on both sides of it.
+    rng = np.random.default_rng(seed)
+    g, h = sparse_skewed(rng, n, 0.4), sparse_skewed(rng, n, 0.3)
+    g[0] = h[-1] = 1e-3  # keep both totals positive
+    raw = SegmentedDistribution.from_masses(g, h, n_keys=1000)
+    with pytest.MonkeyPatch.context() as mp:
+        for d in (raw, ensure_positive_masses(raw)):
+            mp.setattr(dp, "SLAB_BYTES", 8 * n * rows)
+            table = divergence_table(d, k)
+            values, parents = reference_table(d, n, k)
+            assert table.values.tobytes() == values.tobytes()
+            assert table.parents.tobytes() == parents.tobytes()
+            builder = _TableBuilder(d)
+            for j in range(k, n + 1):
+                mp.setattr(dp, "SLAB_BYTES", 8 * j * rows)
+                window = builder.build(j, k)
+                values, parents = reference_table(d, j, k)
+                assert window.values.tobytes() == values.tobytes(), j
+                assert window.parents.tobytes() == parents.tobytes(), j
+
+
+def test_table_scratch_stays_within_the_byte_budget():
+    # N=4000: a fixed block height of 256 rows would need 8 MB per scratch
+    # matrix; the budget holds the two buffers to SLAB_BYTES each
+    dist = zipfian_distribution(SyntheticSpec(4000, 100_000, 100_000))
+    tracemalloc.start()
+    try:
+        divergence_table(dist, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dp.SLAB_BYTES + (1 << 20)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

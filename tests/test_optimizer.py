@@ -32,7 +32,7 @@ from plbf import (
     solve_timed,
     zipfian_distribution,
 )
-from plbf.optimizer import FPR_FLOOR
+from plbf.optimizer import FPR_FLOOR, MAX_SEGMENTS
 from plbf.oracle import best_clustering_exhaustive, exhaustive_plan
 
 
@@ -242,6 +242,12 @@ class TestBuildConfig:
             BuildConfig(framework="fpr", n_segments=10, n_regions=1, target_fpr=0.1)
         with pytest.raises(ValidationError):
             BuildConfig(framework="fpr", n_segments=3, n_regions=3, target_fpr=0.1)
+
+    def test_rejects_more_segments_than_a_filter_can_route(self):
+        BuildConfig(framework="fpr", n_segments=MAX_SEGMENTS, n_regions=3, target_fpr=0.1)
+        too_many = f"at most {MAX_SEGMENTS}, got {MAX_SEGMENTS + 1}"
+        with pytest.raises(ValidationError, match=too_many):
+            BuildConfig(framework="fpr", n_segments=MAX_SEGMENTS + 1, n_regions=3, target_fpr=0.1)
 
     def test_requires_matching_budget(self):
         with pytest.raises(ValidationError):

@@ -127,6 +127,11 @@ class BloomFilter:
                 pos -= m
         return True
 
+    @property
+    def blob_length(self) -> int:
+        """``len(self.to_bytes())``, without serializing the bits."""
+        return _HEADER.size + len(self._bits)
+
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(
             _MAGIC, _VERSION, self.n_bits, self.n_hashes, self.seed, self.n_inserted
@@ -134,7 +139,11 @@ class BloomFilter:
         return header + bytes(self._bits)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "BloomFilter":
+    def from_bytes(cls, blob) -> "BloomFilter":
+        """Rebuild a filter from :meth:`to_bytes` output or a view of it.
+
+        The bits are copied once, straight from ``blob`` into the filter.
+        """
         if len(blob) < _HEADER.size:
             raise ValidationError("truncated filter blob")
         magic, version, n_bits, n_hashes, seed, count = _HEADER.unpack_from(blob)
@@ -149,7 +158,9 @@ class BloomFilter:
             )
         filt = cls(n_bits, n_hashes, seed)
         filt.n_inserted = count
-        filt._bits[:] = blob[_HEADER.size:]
+        # through a view: assigning a slice of the bytearray itself would
+        # first copy the bits into a temporary bytearray
+        memoryview(filt._bits)[:] = memoryview(blob)[_HEADER.size:]
         return filt
 
     def __reduce__(self):

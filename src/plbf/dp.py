@@ -24,6 +24,12 @@ Two builders produce these tables:
   which holds whenever the score distribution is ideal; otherwise entries
   can fall below the exhaustive table, never above.
 
+Neither builder searches column 1.  Column 0 is reachable only at row 0, so
+a one-region clustering of any prefix starts at segment 1: ``_fill_columns``
+writes that column from the divergences of segments 1..p, which each builder
+already has (the full builder's slab column 0, the row-maxima builder's
+start-0 cells), and searches columns 2..k-1 only.
+
 :func:`trace_layouts` is the one backtrace: it walks ``parents`` back from
 many final-region starts at once and checks every step, so a malformed
 table raises rather than yielding a layout that is not a clustering.
@@ -223,15 +229,20 @@ def _new_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     return values, parents
 
 
-def _fill_columns(values, parents, a: int, b: int, row_maxima) -> None:
+def _fill_columns(values, parents, a: int, b: int, first, row_maxima) -> None:
     """Fill rows a..b-1 of every column after the first, column by column.
 
-    ``row_maxima(prev)`` receives rows 0..b-2 of the previous column, final
-    by then, as a contiguous copy.  It returns, for rows a..b-1, each row's
-    best value and the 0-based start segment achieving it; unreachable rows
-    carry -inf.
+    Column 0 is reachable only at row 0, so every one-region clustering
+    starts at segment 1: column 1 is ``first``, the divergences of segments
+    1..p for table rows p = a..b-1, plus ``values[0, 0]``, and needs no
+    search.  For each later column, ``row_maxima(prev)`` receives rows
+    0..b-2 of the previous column, final by then, as a contiguous copy.  It
+    returns, for rows a..b-1, each row's best value and the 0-based start
+    segment achieving it; unreachable rows carry -inf.
     """
-    for q in range(1, values.shape[1]):
+    values[a:b, 1] = first + values[0, 0]  # the add a scan would make: -0.0 becomes 0.0
+    parents[a:b, 1] = np.where(values[a:b, 1] == NEG_INF, -1, 1)
+    for q in range(2, values.shape[1]):
         col_vals, col_args = row_maxima(values[: b - 1, q - 1].copy())
         values[a:b, q] = col_vals
         parents[a:b, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
@@ -251,11 +262,13 @@ class _TableBuilder:
     Entry (r, c) of the divergence matrix is G * log2(G / H) of the region
     of segments c + 1 .. r + 1 (1-based).  Table rows a..b-1 read only its
     rows a-1..b-2, and of those only the first b - 1 columns, so each block
-    computes that slab once and then fills every column for its rows from
-    the previous column's first b - 1 entries.  The slab and the scan's sum
-    live in the heads of two flat scratch arrays that one ``build``
-    allocates and every block reuses.  One instance serves every prefix
-    length a sweep asks for.
+    computes that slab once and then fills every column for its rows.  The
+    one-region column is the slab's column 0, since only the empty prefix
+    is reachable with no regions; every later column is a scan of the slab
+    plus the previous column's first b - 1 entries.  The slab and the
+    scan's sum live in the heads of two flat scratch arrays that one
+    ``build`` allocates and every block reuses.  One instance serves every
+    prefix length a sweep asks for.
     """
 
     def __init__(self, dist: SegmentedDistribution) -> None:
@@ -274,7 +287,7 @@ class _TableBuilder:
             slab = slab_buf[:size].reshape(b - a, b - 1)
             term = term_buf[:size].reshape(b - a, b - 1)
             self._slab(a, b, slab, term)
-            _fill_columns(values, parents, a, b, partial(_scan, slab, term))
+            _fill_columns(values, parents, a, b, slab[:, 0], partial(_scan, slab, term))
         return DPTable(values, parents)
 
     def _slab(self, a: int, b: int, div: np.ndarray, g_mat: np.ndarray) -> None:
@@ -290,7 +303,9 @@ class _TableBuilder:
             np.divide(g_mat, div, out=div)
             np.log2(div, out=div)
             np.multiply(g_mat, div, out=div)
-        div[np.arange(b - 1) >= np.arange(a, b)[:, None]] = NEG_INF  # start past the end
+        # a start past the end, c >= a + i for table row a + i, needs c >= a:
+        # only the block's corner of columns a..b-2 holds one
+        div[:, a:][np.arange(a, b - 1) >= np.arange(a, b)[:, None]] = NEG_INF
         div[np.isnan(div)] = 0.0  # zero key mass contributes nothing
 
 
@@ -334,8 +349,11 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
         vals = np.fromiter(map(itemgetter(1), maxima), np.float64, len(maxima))
         return vals, np.fromiter(map(itemgetter(0), maxima), np.int64, len(maxima))
 
-    values, parents = _new_table(dist.n_segments, n_regions)
-    _fill_columns(values, parents, 1, dist.n_segments, row_maxima)
+    n = dist.n_segments
+    values, parents = _new_table(n, n_regions)
+    # the cells a divide and conquer over column 1 would evaluate: start 0 only
+    first = divergences(dist, np.zeros(n - 1, np.int64), np.arange(1, n))
+    _fill_columns(values, parents, 1, n, first, row_maxima)
     return DPTable(values, parents)
 
 

@@ -125,19 +125,16 @@ class PlbfFilter:
             raise ValidationError(f"measure_fpr expects non-keys only, got key {key!r}")
         return sum(map(self.query, columns.ids, columns.scores.tolist())) / len(columns)
 
-    def _encode(self) -> tuple[bytes, list[bytes]]:
-        """The JSON header and the region blobs that :meth:`save` writes."""
+    def _header(self) -> bytes:
+        """The JSON header that :meth:`save` writes before the region blobs."""
         regions = []
-        blobs = []
         offset = 0
         for rate, filt in zip(self.plan.fprs, self.region_filters):
             if filt is None:
                 regions.append({"kind": _empty_kind(rate), "offset": 0, "length": 0})
                 continue
-            blob = filt.to_bytes()
-            regions.append({"kind": "bloom", "offset": offset, "length": len(blob)})
-            blobs.append(blob)
-            offset += len(blob)
+            regions.append({"kind": "bloom", "offset": offset, "length": filt.blob_length})
+            offset += filt.blob_length
         header = {
             "n_segments": self.plan.n_segments,
             "seed": self.seed,
@@ -145,14 +142,16 @@ class PlbfFilter:
             "plan": plan_to_dict(self.plan),
             "regions": regions,
         }
-        return json.dumps(header, sort_keys=True).encode("utf-8"), blobs
+        return json.dumps(header, sort_keys=True).encode("utf-8")
 
     def save(self, path) -> None:
-        header, blobs = self._encode()
+        header = self._header()
         with open(path, "wb") as fh:
             fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
             fh.write(header)
-            fh.writelines(blobs)
+            for filt in self.region_filters:
+                if filt is not None:
+                    fh.write(filt.to_bytes())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlbfFilter):
@@ -225,11 +224,13 @@ def load_filter(path) -> PlbfFilter:
         raise ValidationError(f"bad file magic {magic!r}")
     if version != _VERSION:
         raise ValidationError(f"unsupported file version {version}")
-    body = data[_PREFIX.size:]
+    # one view of the file: the blobs are read from it, not sliced out of it
+    body = memoryview(data)[_PREFIX.size:]
     if len(body) < header_len:
         raise ValidationError("truncated filter header")
+    header_bytes = bytes(body[:header_len])
     try:
-        header = json.loads(body[:header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"unreadable filter header: {exc}") from exc
     if not isinstance(header, dict):
@@ -270,13 +271,13 @@ def load_filter(path) -> PlbfFilter:
         if not (0 <= length <= len(blob_section) - off):
             raise ValidationError(f"region {r} blob range out of bounds")
         blob_end = off + length
-        filters.append(BloomFilter.from_bytes(bytes(blob_section[off:blob_end])))
+        filters.append(BloomFilter.from_bytes(blob_section[off:blob_end]))
     if blob_end != len(blob_section):
         raise ValidationError(
             f"{len(blob_section) - blob_end} trailing bytes after the last region blob"
         )
     filt = PlbfFilter(plan, tuple(filters), seed)
-    if filt._encode()[0] != body[:header_len]:
+    if filt._header() != header_bytes:
         raise ValidationError("filter header is not the one saving its filter writes")
     return filt
 

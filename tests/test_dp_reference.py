@@ -13,7 +13,7 @@ from math import inf, log2
 import numpy as np
 import pytest
 from conftest import CountingMatrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbf import (
@@ -126,6 +126,7 @@ def sparse_skewed(rng, n, zero_share):
 
 
 @REFERENCE_SETTINGS
+@example(n=2 * BLOCK_ROWS + 2, k=2, seed=5)  # the one-region column alone
 @given(
     n=st.integers(2 * BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 40),
     k=st.integers(2, 6),
@@ -155,6 +156,8 @@ def test_row_blocks_equal_the_full_matrix_tables(n, k, seed):
 
 
 @REFERENCE_SETTINGS
+@example(n=23, k=2, rows=1, seed=5)  # the one-region column alone
+@example(n=23, k=2, rows=5, seed=6)
 @given(
     n=st.integers(8, 40),
     k=st.integers(2, 6),
@@ -200,6 +203,31 @@ def test_table_scratch_stays_within_the_byte_budget():
     assert peak <= 2 * dp.SLAB_BYTES + (1 << 20)
 
 
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_only_columns_after_the_one_region_column_are_searched(monkeypatch, k):
+    # column 0 is reachable only at row 0, so column 1 needs no search: the
+    # row-maxima table solves k - 2 columns, and every block of an N x k
+    # build scans k - 2 of its columns
+    d = zipfian_distribution(SyntheticSpec(40, 1000, 1000))
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dp, "monotone_row_maxima", counted(monotone_row_maxima))
+    monkeypatch.setattr(dp, "_scan", counted(dp._scan))
+    monkeypatch.setattr(dp, "SLAB_BYTES", 8 * 40 * 5)  # 5 rows a block: 8 blocks
+    divergence_table_monotone(d, k)
+    assert calls == ["monotone_row_maxima"] * (k - 2)
+    calls.clear()
+    divergence_table(d, k)
+    assert calls == ["_scan"] * (8 * (k - 2))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 48),
@@ -223,6 +251,7 @@ def test_level_at_a_time_equals_the_scalar_loop(n, m, seed):
 
 
 @REFERENCE_SETTINGS
+@example(n=300, k=2, samples=50, seed=5)  # the one-region column alone
 @given(
     n=st.integers(20, 300),
     k=st.integers(2, 6),

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -315,6 +316,28 @@ class TestSaveLoad:
         loaded.save(b)
         assert loaded == filt
         assert a.read_bytes() == b.read_bytes()
+
+    def test_load_holds_one_copy_of_the_bits_beyond_the_file(self, tmp_path):
+        # two regions of 500k keys each, ~1.5 MB of bits: the load may hold
+        # the file and each filter's own bits, not slices or re-encodings
+        plan = make_plan(fprs=(0.001, 0.01))
+        blooms = []
+        for r, rate in enumerate(plan.fprs):
+            bloom = BloomFilter.for_capacity(500_000, rate, region_seed(0, r))
+            for i in range(1000):  # bits for the reload to carry over
+                bloom.insert(f"k{i}")
+            bloom.n_inserted = 500_000
+            blooms.append(bloom)
+        path = tmp_path / "big.plbf"
+        PlbfFilter(plan, tuple(blooms)).save(path)
+        tracemalloc.start()
+        try:
+            loaded = load_filter(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.region_filters == tuple(blooms)
+        assert peak <= 2.6 * path.stat().st_size
 
     def test_rejects_bad_magic(self, tmp_path):
         filt, _, _ = solved_filter()

@@ -122,8 +122,8 @@ class SegmentedDistribution:
 
     Everything else is derived here, once: ``n_segments`` is the vectors'
     length, and the prefix arrays have ``n_segments + 1`` entries with
-    ``prefix[0] == 0``, so the mass of 1-based segments ``lo..hi`` is
-    ``prefix[hi] - prefix[lo - 1]``.  All four arrays are read-only.
+    ``prefix[0] == 0``; the package reads region masses from them only
+    through :meth:`masses`.  All four arrays are read-only.
     """
 
     g: np.ndarray
@@ -142,6 +142,23 @@ class SegmentedDistribution:
         object.__setattr__(self, "h_prefix", np.concatenate(([0.0], np.cumsum(h))))
         for arr in (g, h, self.g_prefix, self.h_prefix):
             arr.setflags(write=False)
+
+    def masses(self, lo, hi, out=None):
+        """Key and non-key masses of the regions of 1-based segments lo+1..hi.
+
+        ``lo`` and ``hi`` are numpy indices into the prefix arrays (ints,
+        index arrays, or slices, which make views rather than copies), and
+        the result broadcasts: ``g_prefix[hi] - g_prefix[lo]`` and the same
+        for ``h``.  Given ``out``, a pair of float64 arrays of the broadcast
+        shape, the two differences are written there and that pair is
+        returned.
+        """
+        gp, hp = self.g_prefix, self.h_prefix
+        if out is None:
+            return gp[hi] - gp[lo], hp[hi] - hp[lo]
+        np.subtract(gp[hi], gp[lo], out=out[0])
+        np.subtract(hp[hi], hp[lo], out=out[1])
+        return out
 
     @classmethod
     def from_masses(

@@ -24,6 +24,13 @@ Two builders produce these tables:
   which holds whenever the score distribution is ideal; otherwise entries
   can fall below the exhaustive table, never above.
 
+Both builders score a region by one rule.  Its masses come from
+``SegmentedDistribution.masses`` and its G * log2(G / H) from
+``_divergence_rule``: 0 without key mass, +inf when G / H is +inf, -inf
+when G / H underflows to 0.  Only the log2 differs: the full builder takes
+``np.log2`` over its slab in place, and the row-maxima builder, through
+:func:`divergences`, ``math.log2`` entry by entry.
+
 Neither builder searches column 1.  Column 0 is reachable only at row 0, so
 a one-region clustering of any prefix starts at segment 1: ``_fill_columns``
 writes that column from the divergences of segments 1..p, which each builder
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import inf, log2
+from math import log2
 from operator import itemgetter
 from typing import Protocol
 
@@ -57,7 +64,8 @@ def divergence(dist: SegmentedDistribution, first: int, last: int) -> float:
     """G * log2(G / H) over the 1-based inclusive segment range first..last.
 
     Zero key mass contributes 0 regardless of H; positive key mass over zero
-    non-key mass returns +inf (such a region would need no filter at all).
+    non-key mass, or a G / H that overflows, returns +inf (such a region
+    would need no filter at all); a G / H that underflows to 0 returns -inf.
     """
     if not (1 <= first <= last <= dist.n_segments):
         raise ValidationError(
@@ -69,27 +77,43 @@ def divergence(dist: SegmentedDistribution, first: int, last: int) -> float:
 def _log2(x: np.ndarray) -> np.ndarray:
     """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP.
 
+    A zero entry gives -inf, as in ``np.log2``, where ``math.log2`` raises.
     A memoryview hands out one Python float at a time, as fast as a list
     would and without holding them all.
     """
-    return np.fromiter(map(log2, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
+    zero = x == 0.0
+    if not zero.any():
+        return np.fromiter(map(log2, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
+    out = _log2(np.where(zero, 1.0, x))
+    out[zero] = NEG_INF
+    return out
+
+
+def _divergence_rule(g: np.ndarray, h: np.ndarray, log2) -> np.ndarray:
+    """G * log2(G / H) of the regions with key masses ``g`` and non-key masses ``h``.
+
+    The one rule both builders score regions with, written over ``h``:
+    divide, ``log2``, multiply, then NaN becomes 0, since a region with no
+    key mass contributes nothing.  G / H is +inf for no non-key mass or an
+    overflow, and 0 for an underflow, which scores -inf.  ``log2`` maps an
+    array to its entries' logs, in place or as a new array.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(g, h, out=h)
+        np.multiply(g, log2(h), out=h)
+    np.copyto(h, 0.0, where=np.isnan(h))
+    return h
 
 
 def divergences(dist: SegmentedDistribution, lo, hi) -> np.ndarray:
     """:func:`divergence` of segments lo+1..hi, elementwise over index arrays.
 
     The ranges are not checked.  Each entry takes ``math.log2``, whatever
-    numpy's own log2 does on this CPU.
+    numpy's own log2 does on this CPU; otherwise the rule is the N x k
+    slab's, -inf for an underflowed G / H included.
     """
-    sg = np.asarray(dist.g_prefix[hi] - dist.g_prefix[lo])
-    sh = np.asarray(dist.h_prefix[hi] - dist.h_prefix[lo])
-    has_keys = sg > 0.0
-    out = np.where(has_keys, inf, 0.0)  # no key mass: 0; no non-key mass: +inf
-    live = has_keys & (sh > 0.0)
-    sg, sh = sg[live], sh[live]
-    with np.errstate(over="ignore"):  # G / H can overflow to +inf, as in divergence()
-        out[live] = sg * _log2(sg / sh)
-    return out
+    g, h = dist.masses(lo, hi)
+    return _divergence_rule(g, np.asarray(h), _log2)
 
 
 @dataclass(frozen=True)
@@ -272,8 +296,7 @@ class _TableBuilder:
     """
 
     def __init__(self, dist: SegmentedDistribution) -> None:
-        self._gp = dist.g_prefix
-        self._hp = dist.h_prefix
+        self._dist = dist
 
     def build(self, n_rows: int, n_cols: int) -> DPTable:
         values, parents = _new_table(n_rows, n_cols)
@@ -293,20 +316,13 @@ class _TableBuilder:
     def _slab(self, a: int, b: int, div: np.ndarray, g_mat: np.ndarray) -> None:
         """Divergence-matrix rows a-1..b-2, columns 0..b-2, written into ``div``.
 
-        ``g_mat``, of the same shape, is scratch for the key-mass differences.
+        ``g_mat``, of the same shape, is scratch for the key masses.
         """
-        gp, hp = self._gp, self._hp
-        np.subtract(gp[a:b, None], gp[None, : b - 1], out=g_mat)
-        np.subtract(hp[a:b, None], hp[None, : b - 1], out=div)
-        # a tiny non-key mass can overflow G / H to +inf, as in divergence()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(g_mat, div, out=div)
-            np.log2(div, out=div)
-            np.multiply(g_mat, div, out=div)
+        self._dist.masses(np.s_[: b - 1], np.s_[a:b, None], out=(g_mat, div))
+        _divergence_rule(g_mat, div, partial(np.log2, out=div))
         # a start past the end, c >= a + i for table row a + i, needs c >= a:
         # only the block's corner of columns a..b-2 holds one
         div[:, a:][np.arange(a, b - 1) >= np.arange(a, b)[:, None]] = NEG_INF
-        div[np.isnan(div)] = 0.0  # zero key mass contributes nothing
 
 
 def _scan(slab: np.ndarray, term: np.ndarray, prev: np.ndarray):

@@ -73,6 +73,11 @@ FPR_FLOOR = 2.0**-1022
 # before any histogram is made.
 MAX_SEGMENTS = 1 << 24
 
+# How far a plan's region masses may sum from 1: rounding, plus the floor
+# mass ensure_positive_masses gives every empty segment of the largest plan.
+# A constant, so a file claiming more segments cannot widen it.
+MASS_SUM_TOLERANCE = 1e-6 + MAX_SEGMENTS * MASS_FLOOR
+
 
 @dataclass(frozen=True)
 class RegionPlan:
@@ -82,7 +87,8 @@ class RegionPlan:
     at 0 and ending at the segment total; region r covers 0-based segments
     ``boundaries[r] .. boundaries[r+1] - 1``.  ``objective`` is total filter
     memory in bits under the ``fpr`` framework and expected false-positive
-    rate under ``memory``; it and the masses are finite and nonnegative.  A
+    rate under ``memory``; it and the masses are finite and nonnegative, and
+    each mass vector sums to 1 within ``MASS_SUM_TOLERANCE``.  A
     rate of exactly 1.0 marks a region that stores nothing and answers true;
     clamping inside the rate optimizers is the only way a region earns it.
     """
@@ -109,7 +115,7 @@ class RegionPlan:
                 raise ValidationError(f"{name} must have one entry per region")
             if not all(0.0 <= x < inf for x in masses):
                 raise ValidationError(f"{name} must be finite and nonnegative")
-            if abs(sum(masses) - 1.0) > 1e-6:
+            if abs(sum(masses) - 1.0) > MASS_SUM_TOLERANCE:
                 raise ValidationError(f"{name} must sum to 1")
         if len(self.fprs) != k:
             raise ValidationError("fprs must have one entry per region")
@@ -453,8 +459,7 @@ def solve_timed(
         bounds = trace_layouts(table, starts, k)
     del table  # no longer needed: the rate solves below peak lower without it
 
-    key_mass = np.diff(dist.g_prefix[bounds])
-    nonkey_mass = np.diff(dist.h_prefix[bounds])
+    key_mass, nonkey_mass = dist.masses(bounds[:, :-1], bounds[:, 1:])
     # prefix sums never decrease, so a region that cancellation emptied has
     # mass exactly 0 and no closed-form rate
     solvable = (key_mass != 0.0).all(axis=1) & (nonkey_mass != 0.0).all(axis=1)

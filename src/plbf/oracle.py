@@ -39,19 +39,21 @@ def _region_value(dist: SegmentedDistribution, first: int, last: int) -> float:
     sh = float(np.sum(dist.h[first - 1 : last]))
     if sh <= 0.0:
         return inf
-    return sg * log2(sg / sh)
+    ratio = sg / sh
+    return sg * log2(ratio) if ratio > 0.0 else -inf  # an underflowed G / H, as in the DP
 
 
 def best_clustering_exhaustive(
     dist: SegmentedDistribution, boundary_segment: int, n_regions: int
-) -> tuple[float, tuple[int, ...]]:
+) -> tuple[float, tuple[int, ...] | None]:
     """Best clustering of segments 1..boundary_segment-1 into n_regions-1 regions.
 
     Tries every placement of the interior region ends and returns
     ``(value, ends)`` where ``ends`` lists the 1-based last segment of each
     region (so its final entry is ``boundary_segment - 1``).  Ties resolve to
     the lexicographically smallest ends, matching the smallest-index rule of
-    the DP backtraces.
+    the DP backtraces.  When every clustering scores -inf (or NaN) there is
+    none, as at an unreachable DP cell, and ``ends`` is None.
     """
     j, k = boundary_segment, n_regions
     if j > MAX_ORACLE_SEGMENTS:
@@ -80,7 +82,6 @@ def best_clustering_exhaustive(
         if value > best_value:
             best_value = value
             best_ends = ends
-    assert best_ends is not None
     return best_value, best_ends
 
 
@@ -101,10 +102,10 @@ def naive_row_maxima(matrix) -> list[tuple[int, float]]:
 def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
     """Reference planner: enumerate every clustering at every final-region start.
 
-    Mirrors the solver's selection rule (skip infeasible layouts, minimize the
-    framework objective, ties to the smallest final-region start; when every
-    layout is infeasible, raise the first one's error) but never touches the
-    DP tables.
+    Mirrors the solver's selection rule (skip starts with no clustering and
+    infeasible layouts, minimize the framework objective, ties to the
+    smallest final-region start; when every layout is infeasible, raise the
+    first one's error) but never touches the DP tables.
     The size caps are those of :func:`best_clustering_exhaustive`.
     """
     n, k = dist.n_segments, config.n_regions
@@ -115,6 +116,8 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
     errors = []
     for j in range(k, n + 1):
         _, ends = best_clustering_exhaustive(dist, j, k)
+        if ends is None:
+            continue  # no clustering: the DP sweep traces no layout here either
         bounds = (0,) + ends + (n,)
         key_mass = [float(np.sum(dist.g[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         nonkey_mass = [float(np.sum(dist.h[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
@@ -133,7 +136,7 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
         if best is None or score < best[0]:
             best = (score, bounds, fprs, key_mass, nonkey_mass)
     if best is None:
-        raise errors[0]
+        raise errors[0] if errors else InfeasibleError("no feasible region layout")
     score, bounds, fprs, key_mass, nonkey_mass = best
     return RegionPlan(
         n_regions=k,

@@ -12,6 +12,13 @@ def random_distribution(rng, n_segments, lo=0.05, hi=1.0, n_keys=1000):
     return SegmentedDistribution.from_masses(g, h, n_keys=n_keys)
 
 
+def underflow_distribution():
+    """Unnormalized masses, H > 1: G / H of segment 1 underflows to 0."""
+    return SegmentedDistribution.from_masses(
+        [1e-300, 1, 1, 1], [1e300, 1, 1, 1], n_keys=10, normalize=False
+    )
+
+
 class CountingMatrix:
     """Wraps any matrix and counts the cells its value() calls evaluate."""
 

@@ -14,6 +14,7 @@ import pytest
 
 import plbf.cli as cli
 from plbf import (
+    ALGORITHMS,
     InfeasibleError,
     ScoreRecord,
     is_ideal,
@@ -463,8 +464,12 @@ class TestBench:
 
     def test_unknown_algorithm_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path / "data.csv")
+        capsys.readouterr()
         rc = run("bench", "--data", str(data), "--algorithms", "fast,warp")
         assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: algorithm must be one of {ALGORITHMS}, got 'warp'\n"
+        )
 
     def test_empty_algorithm_list_rejected(self, tmp_path, capsys):
         data = gen_dataset(tmp_path / "data.csv")

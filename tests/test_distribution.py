@@ -111,6 +111,30 @@ class TestSegmentedDistribution:
             assert prefix.tobytes() == expected.tobytes()
 
 
+class TestMasses:
+    def dist(self):
+        return apply_swaps(zipfian_distribution(SyntheticSpec(30, 100, 100)), 9, seed=4)
+
+    def test_layout_masses_are_the_prefix_differences(self):
+        d = self.dist()
+        bounds = np.array([[0, 4, 11, 30], [0, 1, 29, 30], [0, 15, 16, 30]])
+        g, h = d.masses(bounds[:, :-1], bounds[:, 1:])
+        assert g.tobytes() == np.diff(d.g_prefix[bounds]).tobytes()
+        assert h.tobytes() == np.diff(d.h_prefix[bounds]).tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [
+        (np.arange(19), np.arange(7, 20)[:, None]),
+        (np.s_[:19], np.s_[7:20, None]),
+    ], ids=["index-arrays", "slices"])
+    def test_broadcast_block_is_written_into_out(self, lo, hi):
+        d = self.dist()
+        out = (np.empty((13, 19)), np.empty((13, 19)))
+        g, h = d.masses(lo, hi, out=out)
+        assert g is out[0] and h is out[1]
+        assert g.tobytes() == (d.g_prefix[7:20, None] - d.g_prefix[None, :19]).tobytes()
+        assert h.tobytes() == (d.h_prefix[7:20, None] - d.h_prefix[None, :19]).tobytes()
+
+
 class TestSegmentScores:
     def test_counts_mass_per_segment(self):
         records = [

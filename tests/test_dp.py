@@ -5,7 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import CountingMatrix, planted_monotone_matrix, random_distribution
+from conftest import (
+    CountingMatrix,
+    planted_monotone_matrix,
+    random_distribution,
+    underflow_distribution,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plbf import (
     DenseMatrix,
@@ -22,7 +29,7 @@ from plbf import (
     trace_layouts,
     zipfian_distribution,
 )
-from plbf.dp import write_table_csv
+from plbf.dp import _TableBuilder, divergences, write_table_csv
 from plbf.oracle import best_clustering_exhaustive, naive_row_maxima
 
 NEG_INF = float("-inf")
@@ -33,6 +40,19 @@ def dyadic_dist():
     return SegmentedDistribution.from_masses(
         [0.25, 0.25, 0.5], [0.5, 0.25, 0.25], n_keys=8, normalize=False
     )
+
+
+def slab_cells(dist):
+    """The N x k builder's divergence matrix in one block: (r, c) is segments c+1..r+1."""
+    n = dist.n_segments
+    div, scratch = np.empty((n - 1, n - 1)), np.empty((n - 1, n - 1))
+    _TableBuilder(dist)._slab(1, n, div, scratch)
+    return div
+
+
+# zero masses, subnormals, and masses far enough apart to overflow or
+# underflow G / H, unnormalized
+EDGE_MASSES = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-160, 0.25, 1.0, 3.0, 1e160, 1e300])
 
 
 class TestDivergence:
@@ -61,6 +81,33 @@ class TestDivergence:
         for first, last in ((0, 1), (2, 1), (1, 4), (4, 4)):
             with pytest.raises(ValidationError):
                 divergence(d, first, last)
+
+    def test_underflowed_ratio_is_minus_infinity(self):
+        d = underflow_distribution()
+        assert divergence(d, 1, 1) == NEG_INF
+        got = divergences(d, np.array([0, 0]), np.array([1, 3])).tolist()
+        assert got == [NEG_INF, 2.0 * math.log2(2.0 / 1e300)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example(masses=[(1e-300, 1e300), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])  # G / H underflows
+    @example(masses=[(1e300, 1e-300), (0.25, 0.0), (0.0, 0.25)])  # overflows; zero masses
+    @example(masses=[(5e-324, 1e-310), (1e-310, 5e-324), (1.0, 0.0)])  # subnormals
+    @given(masses=st.lists(st.tuples(EDGE_MASSES, EDGE_MASSES), min_size=2, max_size=7))
+    def test_every_region_gets_the_slabs_value(self, masses):
+        # the row-maxima builder's divergences and the N x k builder's slab
+        # share one rule; only their log2s may differ, by an ULP or so
+        g, h = zip(*masses)
+        d = SegmentedDistribution.from_masses(g, h, n_keys=1, normalize=False)
+        rows, cols = np.tril_indices(d.n_segments - 1)  # every region c+1..r+1
+        want = slab_cells(d)[rows, cols]
+        got = divergences(d, cols, rows + 1)
+        assert [divergence(d, c + 1, r + 1) for r, c in zip(rows, cols)] == got.tolist()
+        assert not np.isnan(got).any()
+        for special in (0.0, math.inf, NEG_INF):
+            assert ((got == special) == (want == special)).all(), special
+        finite = np.isfinite(want) & (want != 0.0)
+        # a subnormal product carries fewer bits, so allow it two of its steps
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-323)
 
 
 class TestDivergenceTable:
@@ -301,6 +348,15 @@ class TestMonotoneTable:
         )
         starts = range(5, 101)
         assert trace_layouts(mono, starts, 5).tolist() == trace_layouts(full, starts, 5).tolist()
+
+    def test_underflowed_ratio_is_unreachable_in_both_builders(self):
+        d = underflow_distribution()
+        for k in (2, 3):
+            full = divergence_table(d, k)
+            mono = divergence_table_monotone(d, k)
+            assert full.values[1, 1] == mono.values[1, 1] == NEG_INF  # segment 1 alone
+            assert ((full.values == NEG_INF) == (mono.values == NEG_INF)).all()
+            assert (full.parents == mono.parents).all()
 
     def test_never_exceeds_full_table(self):
         rng = np.random.default_rng(10)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_distribution
+from conftest import random_distribution, underflow_distribution
 
 from plbf import (
     ALGORITHMS,
@@ -32,7 +32,7 @@ from plbf import (
     solve_timed,
     zipfian_distribution,
 )
-from plbf.optimizer import FPR_FLOOR, MAX_SEGMENTS
+from plbf.optimizer import FPR_FLOOR, MASS_SUM_TOLERANCE, MAX_SEGMENTS
 from plbf.oracle import best_clustering_exhaustive, exhaustive_plan
 
 
@@ -313,6 +313,21 @@ class TestRegionPlanValidation:
     def test_rejects_unnormalized_masses(self):
         with pytest.raises(ValidationError):
             self._plan(key_mass=(0.9, 0.5))
+        with pytest.raises(ValidationError, match="key_mass must sum to 1"):
+            self._plan(key_mass=(0.5, 0.5 + 2 * MASS_SUM_TOLERANCE))
+
+    def test_accepts_the_floor_mass_of_empty_segments(self):
+        # 1.1 million segments, 1000 of them filled: the floor that planning
+        # gives every empty one lifts each total to about 1 + 1.1e-6
+        n = 1_100_000
+        g = np.zeros(n)
+        g[:1000] = 1e-3
+        d = ensure_positive_masses(SegmentedDistribution(g, g[::-1].copy(), 1000))
+        key_mass, nonkey_mass = d.masses(np.array([0, 1000]), np.array([1000, n]))
+        assert sum(key_mass) - 1.0 > 1e-6
+        plan = self._plan(boundaries=(0, 1000, n), key_mass=tuple(key_mass.tolist()),
+                          nonkey_mass=tuple(nonkey_mass.tolist()))
+        assert plan_from_dict(plan_to_dict(plan), "fast") == plan
 
     @pytest.mark.parametrize("field", ["key_mass", "nonkey_mass", "fprs"])
     def test_rejects_one_entry_short(self, field):
@@ -555,6 +570,15 @@ class TestSolve:
         d = random_distribution(np.random.default_rng(6), 25)
         cfg = BuildConfig(framework="memory", n_segments=25, n_regions=4, memory_bits=2500.0)
         assert solve(d, cfg) == solve(d, cfg)
+
+    def test_underflowed_region_ratio_is_infeasible_for_every_planner(self):
+        # segment 1's divergence is -inf in both DP builders
+        d = underflow_distribution()
+        for algorithm in ALGORITHMS:
+            cfg = BuildConfig(framework="fpr", n_segments=4, n_regions=2,
+                              algorithm=algorithm, target_fpr=0.01)
+            with pytest.raises(InfeasibleError, match="no feasible region layout"):
+                solve(d, cfg)
 
 
 class TestEnsurePositiveMasses:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import random_distribution
+from conftest import random_distribution, underflow_distribution
 
 from plbf import (
     BuildConfig,
     DenseMatrix,
+    PlbfError,
     SegmentedDistribution,
     ValidationError,
     best_clustering_exhaustive,
@@ -45,6 +46,12 @@ class TestBestClusteringExhaustive:
         assert best_clustering_exhaustive(d, 2, 2) == (0.0, (1,))
         # key mass over no non-key mass: (2, 3) ends in an infinite region
         assert best_clustering_exhaustive(d, 4, 3) == (np.inf, (2, 3))
+
+    def test_start_without_a_finite_clustering_has_none(self):
+        # G / H of segment 1 underflows to 0: its only clustering scores -inf
+        d = underflow_distribution()
+        assert best_clustering_exhaustive(d, 2, 2) == (-np.inf, None)
+        assert best_clustering_exhaustive(d, 3, 2)[1] == (2,)
 
     def test_degenerate_prefix_forces_singletons(self):
         d = random_distribution(np.random.default_rng(0), 6)
@@ -120,3 +127,14 @@ class TestExhaustivePlan:
         plan = exhaustive_plan(d, cfg)
         solved = solve(d, cfg)
         assert plan.boundaries == solved.boundaries
+
+    @pytest.mark.parametrize("budget", [
+        dict(framework="fpr", target_fpr=0.01),
+        dict(framework="memory", memory_bits=60000.0),
+    ], ids=["fpr", "memory"])
+    def test_underflowed_region_ratio_raises_a_plbf_error(self, budget):
+        # starts with no clustering are skipped; on these unnormalized masses
+        # what remains is refused, by the rate solver or the plan check
+        cfg = BuildConfig(n_segments=4, n_regions=2, **budget)
+        with pytest.raises(PlbfError):
+            exhaustive_plan(underflow_distribution(), cfg)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 
 from .errors import ValidationError
@@ -41,6 +42,21 @@ _HALVES = struct.Struct("<QQ").unpack  # a 16-byte digest as h1, h2
 _MAGIC = b"PBLM"
 _VERSION = 1
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed) -> int:
+    """``seed`` as a Python int in [0, 2**64), else a ValidationError.
+
+    Any integer type passes (``operator.index``: numpy integers too, not
+    floats), so every filter keys its hashes from the same 8 bytes.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if not (0 <= seed <= _MASK64):
+        raise ValidationError("seed must fit in 64 bits")
+    return seed
 
 
 def bits_for(n_keys: int, fpr: float) -> int:
@@ -75,11 +91,9 @@ class BloomFilter:
             raise ValidationError("n_bits must be positive")
         if n_hashes < 1:
             raise ValidationError("n_hashes must be positive")
-        if not (0 <= seed <= _MASK64):
-            raise ValidationError("seed must fit in 64 bits")
+        self.seed = check_seed(seed)
         self.n_bits = int(n_bits)
         self.n_hashes = int(n_hashes)
-        self.seed = int(seed)
         self.n_inserted = 0
         self._bits = bytearray((n_bits + 7) >> 3)
         self._hasher = hashlib.blake2b(digest_size=16, key=self.seed.to_bytes(8, "little"))

@@ -20,6 +20,9 @@ import sys
 import time
 from statistics import median
 
+import numpy as np
+
+from .bloom import check_seed
 from .distribution import (
     SyntheticSpec,
     read_records_csv,
@@ -42,7 +45,6 @@ from .optimizer import (
 )
 
 BENCH_SCHEMA = "plbf-bench-v1"
-_MASK64 = (1 << 64) - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +62,7 @@ def _resolve_seed(value: int | None) -> int:
             value = int(raw)
         except ValueError:
             raise ValidationError(f"PLBF_SEED must be an integer, got {raw!r}")
-    if not (0 <= value <= _MASK64):
-        raise ValidationError("seed must fit in 64 bits")
-    return value
+    return check_seed(value)
 
 
 def _comma_list(text: str, flag: str, convert=int) -> list:
@@ -165,27 +165,23 @@ def cmd_query(args) -> int:
     columns = read_records_csv(args.data)
     if not columns:
         raise ValidationError(f"query file {args.data} has no records")
-    keys = key_positives = nonkeys = nonkey_positives = 0
+    answers = np.fromiter(
+        map(filt.query, columns.ids, columns.scores.tolist()), bool, len(columns)
+    )
     write = sys.stdout.write
-    for ident, score, is_key in zip(
-        columns.ids, columns.scores.tolist(), columns.is_key.tolist()
-    ):
-        answer = filt.query(ident, score)
+    for ident, answer in zip(columns.ids, answers.tolist()):
         if "," in ident or '"' in ident or "\n" in ident or "\r" in ident:
             # quoted as csv.writer quotes it, so the line parses back
             ident = '"' + ident.replace('"', '""') + '"'
         write(f"{ident},{'true' if answer else 'false'}\n")
-        if is_key:
-            keys += 1
-            key_positives += answer
-        else:
-            nonkeys += 1
-            nonkey_positives += answer
-    summary = [f"# queried={keys + nonkeys}"]
-    if keys:
-        summary.append(f"key_false_negatives={keys - key_positives}")
-    if nonkeys:
-        summary.append(f"nonkey_fpr={nonkey_positives / nonkeys:.6f}")
+    key_answers, nonkey_answers = answers[columns.is_key], answers[~columns.is_key]
+    summary = [f"# queried={answers.size}"]
+    if key_answers.size:
+        summary.append(f"key_false_negatives={np.count_nonzero(~key_answers)}")
+    if nonkey_answers.size:
+        summary.append(
+            f"nonkey_fpr={np.count_nonzero(nonkey_answers) / nonkey_answers.size:.6f}"
+        )
     print(" ".join(summary))
     return 0
 

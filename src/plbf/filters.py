@@ -19,7 +19,7 @@ from array import array
 
 import numpy as np
 
-from .bloom import BloomFilter, bits_for, hashes_for
+from .bloom import _MASK64, BloomFilter, bits_for, check_seed, hashes_for
 from .distribution import ScoreColumns
 from .errors import ValidationError
 from .optimizer import MAX_SEGMENTS, RegionPlan, plan_from_dict, plan_to_dict
@@ -27,7 +27,6 @@ from .optimizer import MAX_SEGMENTS, RegionPlan, plan_from_dict, plan_to_dict
 _MAGIC = b"PLBF"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
-_MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 
@@ -82,8 +81,7 @@ class PlbfFilter:
             raise ValidationError(
                 f"expected {plan.n_regions} region filters, got {len(region_filters)}"
             )
-        if not (0 <= seed <= _MASK64):
-            raise ValidationError("seed must fit in 64 bits")
+        seed = check_seed(seed)
         for r, filt in enumerate(region_filters):
             if filt is None:
                 continue
@@ -93,7 +91,7 @@ class PlbfFilter:
                 )
             _check_region_filter(filt, r, region_seed(seed, r), plan.fprs[r])
         self.plan = plan
-        self.seed = int(seed)
+        self.seed = seed
         self.region_filters = tuple(region_filters)
         self._regions = _region_table(plan)
         self._n_segments = plan.n_segments
@@ -179,6 +177,7 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
     keys that fall in it and filled with them in their input order.  Every
     element must be a key; non-keys only ever inform the plan.
     """
+    seed = check_seed(seed)
     columns = ScoreColumns.from_records(records)
     scores = columns.scores
     bad = ~columns.is_key | ~((scores >= 0.0) & (scores <= 1.0))

@@ -411,13 +411,29 @@ def solve(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
     return plan
 
 
+def _planning_input(
+    dist: SegmentedDistribution, config: BuildConfig
+) -> SegmentedDistribution:
+    """The histogram a planner reads: ``dist`` checked against ``config``, floored.
+
+    Every planner, :func:`planning_table` and the oracle start here, so the
+    table ``--dump-dp`` writes is the one a plan was traced from.
+    """
+    config.require_matching(dist)
+    return ensure_positive_masses(dist)
+
+
 def planning_table(dist: SegmentedDistribution, config: BuildConfig) -> DPTable:
     """The divergence table the configured planner traces.
 
-    ``fastpp`` uses the row-maxima table; every other planner uses the full
-    N x k table (``plbf``'s per-start tables are windows of it, and
-    ``relaxed`` picks the start of its final region from it).
+    The table is built over the histogram the planner reads: ``dist``
+    checked against ``config`` (a ValidationError if their segment counts
+    differ), with empty segments floored at ``MASS_FLOOR``.  ``fastpp`` uses
+    the row-maxima table; every other planner uses the full N x k table
+    (``plbf``'s per-start tables are windows of it, and ``relaxed`` picks
+    the start of its final region from it).
     """
+    dist = _planning_input(dist, config)
     if config.algorithm == "fastpp":
         return divergence_table_monotone(dist, config.n_regions)
     return divergence_table(dist, config.n_regions)
@@ -427,8 +443,7 @@ def solve_timed(
     dist: SegmentedDistribution, config: BuildConfig
 ) -> tuple[RegionPlan, SolveStats]:
     """Like :func:`solve`, also reporting the DP/sweep wall-time split."""
-    config.require_matching(dist)
-    dist = ensure_positive_masses(dist)
+    dist = _planning_input(dist, config)
     scaled = config.effective_scaled_keys(dist)
     n, k = dist.n_segments, config.n_regions
     started = time.perf_counter()

@@ -17,15 +17,7 @@ import numpy as np
 
 from .distribution import SegmentedDistribution
 from .errors import InfeasibleError, ValidationError
-from .optimizer import (
-    BuildConfig,
-    RegionPlan,
-    bloom_memory_bits,
-    ensure_positive_masses,
-    expected_fpr,
-    optimal_fprs_for_fpr,
-    optimal_fprs_for_memory,
-)
+from .optimizer import BuildConfig, RegionPlan, _planning_input, _rates_and_score
 
 MAX_ORACLE_SEGMENTS = 12
 MAX_ORACLE_REGIONS = 4
@@ -102,15 +94,17 @@ def naive_row_maxima(matrix) -> list[tuple[int, float]]:
 def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
     """Reference planner: enumerate every clustering at every final-region start.
 
-    Mirrors the solver's selection rule (skip starts with no clustering and
-    infeasible layouts, minimize the framework objective, ties to the
-    smallest final-region start; when every layout is infeasible, raise the
-    first one's error) but never touches the DP tables.
+    Reads the histogram the solver reads (checked against ``config``, empty
+    segments floored at ``MASS_FLOOR``), scores layouts with the solver's
+    own rate solve, and mirrors its selection rule (skip starts with no
+    clustering and infeasible layouts, minimize the framework objective,
+    ties to the smallest final-region start; when every layout is
+    infeasible, raise the first one's error), but never touches the DP
+    tables.
     The size caps are those of :func:`best_clustering_exhaustive`.
     """
     n, k = dist.n_segments, config.n_regions
-    config.require_matching(dist)
-    dist = ensure_positive_masses(dist)
+    dist = _planning_input(dist, config)
     scaled = config.effective_scaled_keys(dist)
     best = None
     errors = []
@@ -122,14 +116,7 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
         key_mass = [float(np.sum(dist.g[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         nonkey_mass = [float(np.sum(dist.h[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         try:
-            if config.framework == "fpr":
-                fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
-                score = bloom_memory_bits(key_mass, fprs, scaled)
-            else:
-                fprs = optimal_fprs_for_memory(
-                    key_mass, nonkey_mass, config.memory_bits, scaled
-                )
-                score = expected_fpr(nonkey_mass, fprs)
+            fprs, score = _rates_and_score(config, scaled, key_mass, nonkey_mass)
         except InfeasibleError as exc:
             errors.append(exc)
             continue

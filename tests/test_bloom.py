@@ -118,6 +118,13 @@ class TestBloomFilter:
         with pytest.raises(ValidationError):
             BloomFilter(8, 1, seed=1 << 64)
 
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            BloomFilter(64, 3, seed=1.5)
+        numpy_seeded = BloomFilter(64, 3, seed=np.uint64(3))
+        assert numpy_seeded == BloomFilter(64, 3, seed=3)
+        assert type(numpy_seeded.seed) is int
+
 
 class TestSerialization:
     def test_round_trip(self):

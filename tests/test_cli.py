@@ -17,11 +17,17 @@ from plbf import (
     ALGORITHMS,
     InfeasibleError,
     ScoreRecord,
+    ValidationError,
+    divergence_table,
+    divergence_table_monotone,
+    ensure_positive_masses,
     is_ideal,
     read_records_csv,
     segment_scores,
+    trace_layouts,
     write_records_csv,
 )
+from plbf.dp import write_table_csv
 
 
 def run(*argv):
@@ -89,6 +95,10 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
 
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            cli._resolve_seed(1.5)
+
 
 class TestBuild:
     def _build(self, tmp_path, *extra, algorithm="fast"):
@@ -136,6 +146,27 @@ class TestBuild:
         assert rc == 0
         first = (tmp_path / "table.csv").read_text().splitlines()[0]
         assert first == "prefix,regions,value,parent"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_dump_dp_is_the_table_the_plan_was_traced_from(self, tmp_path, algorithm):
+        # 400 bins over 50 generated segments: most bins are empty on both
+        # sides, and every planner reads them floored
+        data = gen_dataset(tmp_path / "data.csv", segments=50, keys=300, nonkeys=300, seed=3)
+        dump, report = tmp_path / "dp.csv", tmp_path / "f.json"
+        rc = run(
+            "build", "--data", str(data), "--out", str(tmp_path / "f.plbf"),
+            "--report", str(report), "--segments", "400", "--regions", "4",
+            "--algorithm", algorithm, "--seed", "1", "--dump-dp", str(dump),
+        )
+        assert rc == 0
+        dist = segment_scores(read_records_csv(data), 400)
+        assert (dist.g == 0).any() and (dist.h == 0).any()
+        build = divergence_table_monotone if algorithm == "fastpp" else divergence_table
+        table = build(ensure_positive_masses(dist), 4)
+        write_table_csv(table, tmp_path / "expected.csv")
+        assert dump.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        bounds = json.loads(report.read_text())["plan"]["boundaries"]
+        assert trace_layouts(table, [bounds[-2] + 1], 4).tolist() == [bounds]
 
     def test_parser_defaults(self):
         args = cli.build_parser().parse_args(

@@ -255,6 +255,19 @@ class TestConstructorValidation:
         with pytest.raises(ValidationError):
             PlbfFilter(make_plan(), (None, None), seed=-1)
 
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            PlbfFilter(make_plan(), (None, None), seed=1.5)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            build_filter(key_records(10, 0.0, 0.49), make_plan(), seed=1.5)
+
+    @pytest.mark.parametrize("seed", [3, (1 << 64) - 1])
+    def test_numpy_integer_seed_builds_the_int_seed_filter(self, seed):
+        keys = key_records(20)  # keys in both regions: both derive a seed
+        numpy_seeded = build_filter(keys, make_plan(), seed=np.uint64(seed))
+        assert numpy_seeded == build_filter(keys, make_plan(), seed=seed)
+        assert type(numpy_seeded.seed) is int
+
     def test_region_filter_that_would_not_load_is_refused(self, tmp_path):
         # 64 bits and 3 hashes under region 0's seed 1: a filter no key count
         # and rate size, so its saved file would not load

@@ -554,6 +554,8 @@ class TestSolve:
         cfg = BuildConfig(framework="fpr", n_segments=12, n_regions=3, target_fpr=0.1)
         with pytest.raises(ValidationError):
             solve(d, cfg)
+        with pytest.raises(ValidationError, match="config expects 12"):
+            planning_table(d, cfg)
 
     def test_solve_timed_accounts_for_all_time(self):
         d = random_distribution(np.random.default_rng(5), 40)

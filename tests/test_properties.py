@@ -32,6 +32,7 @@ from plbf import (
     load_filter,
     optimal_fprs_for_fpr,
     optimal_fprs_for_memory,
+    planning_table,
     sample_records,
     segment_scores,
     solve,
@@ -137,6 +138,23 @@ def test_traced_layouts_match_one_walk_per_start(case):
             reachable = [j for j in starts if table.values[j - 1, k - 1] != NEG_INF]
             layouts = trace_layouts(table, starts, k).tolist()
             assert layouts == [[0, *one_walk(table, j, k), d.n_segments] for j in reachable]
+
+
+@PROPERTY_SETTINGS
+@given(case=planning_inputs(max_segments=60))
+def test_planning_table_traces_back_to_the_plan(case):
+    # the table --dump-dp writes is the one each planner traced: walking it
+    # back from the plan's final-region start gives the plan's boundaries
+    d = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    k = case["n_regions"]
+    for config in configs(case, d.n_segments):
+        try:
+            plan = solve(d, config)
+        except InfeasibleError:
+            continue
+        start = plan.boundaries[-2] + 1
+        layouts = trace_layouts(planning_table(d, config), [start], k)
+        assert layouts.tolist() == [list(plan.boundaries)], config
 
 
 def mostly_inside(lo, hi):

@@ -15,7 +15,9 @@ Two builders produce these tables:
   of rows: each block computes its slab of the divergence matrix once and
   fills every column for its rows.  Blocks are sized in bytes, and every
   block reuses the same two scratch buffers, so scratch memory stays near
-  ``2 * SLAB_BYTES`` until a single row of N float64s outgrows the budget.
+  ``2 * SLAB_BYTES`` until a single row of N float64s outgrows the budget;
+  the budget keeps both buffers in a 2 MiB L2 cache while a block's columns
+  scan them.
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column, evaluated one recursion
@@ -30,6 +32,12 @@ Both builders score a region by one rule.  Its masses come from
 when G / H underflows to 0.  Only the log2 differs: the full builder takes
 ``np.log2`` over its slab in place, and the row-maxima builder, through
 :func:`divergences`, ``math.log2`` entry by entry.
+
+Tables are column-major: both builders write a column at a time and read
+the previous one whole, as a contiguous view.  A sum in a column search is
+NaN only as +inf plus -inf: the rule leaves no NaN in a divergence, and a
+table holds none, so the full builder repairs, to -inf, only the candidates
+whose previous-column entry is infinite.
 
 Neither builder searches column 1.  Column 0 is reachable only at row 0, so
 a one-region clustering of any prefix starts at segment 1: ``_fill_columns``
@@ -216,39 +224,37 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
     n, m = matrix.row_count, matrix.col_count
     if n == 0 or m == 0:
         return [(0, NEG_INF)] * n
-    best_cols = np.zeros(n, dtype=np.int64)
-    best_vals = np.full(n, NEG_INF)
-    # the pending segments: row ranges r_lo..r_hi, column ranges c_lo..c_hi
+    # argmax[r + 1] is row r's argmax column once found: a pending row range
+    # r_lo..r_hi searches the columns from argmax[r_lo] to argmax[r_hi + 2],
+    # those of the rows around it, or of the edge columns 0 and m - 1
+    argmax = np.empty(n + 2, dtype=np.int64)
+    argmax[0], argmax[-1] = 0, m - 1
+    best = np.empty(n)  # every row is the middle row of one range
     r_lo, r_hi = np.array([0]), np.array([n - 1])
-    c_lo, c_hi = np.array([0]), np.array([m - 1])
     while r_lo.size:
         mid = (r_lo + r_hi) >> 1
-        width = c_hi - c_lo + 1
-        offsets = np.cumsum(width) - width
-        cols = np.arange(offsets[-1] + width[-1]) - np.repeat(offsets - c_lo, width)
-        vals = np.asarray(matrix.value(np.repeat(mid, width), cols), dtype=np.float64)
-        seg_max = np.maximum.reduceat(vals, offsets)
+        c_lo = argmax[r_lo]
+        width = argmax[r_hi + 2] - c_lo + 1
+        ends = width.cumsum()
+        starts = ends - width
+        cols = np.arange(ends[-1]) - (starts - c_lo).repeat(width)
+        vals = np.asarray(matrix.value(mid.repeat(width), cols), dtype=np.float64)
+        best[mid] = seg_max = np.maximum.reduceat(vals, starts)
         # each segment's first cell holding its maximum
-        hits = np.flatnonzero(vals == np.repeat(seg_max, width))
-        arg = cols[hits[np.searchsorted(hits, offsets)]]
-        best_cols[mid] = arg
-        best_vals[mid] = seg_max
-        # the rows above the middle one keep columns up to its argmax, the
-        # rows below keep columns from it on; empty row ranges drop out
-        r_lo, r_hi, c_lo, c_hi = (
-            np.concatenate((r_lo, mid + 1)),
-            np.concatenate((mid - 1, r_hi)),
-            np.concatenate((c_lo, arg)),
-            np.concatenate((arg, c_hi)),
-        )
+        hits = (vals == seg_max.repeat(width)).nonzero()[0]
+        argmax[mid + 1] = cols[hits[hits.searchsorted(starts)]]
+        # the rows above the middle one and the rows below it; empty ranges
+        # drop out
+        r_lo, r_hi = np.concatenate((r_lo, mid + 1)), np.concatenate((mid - 1, r_hi))
         keep = r_lo <= r_hi
-        r_lo, r_hi, c_lo, c_hi = r_lo[keep], r_hi[keep], c_lo[keep], c_hi[keep]
-    return list(zip(best_cols.tolist(), best_vals.tolist()))
+        r_lo, r_hi = r_lo[keep], r_hi[keep]
+    return list(zip(argmax[1:-1].tolist(), best.tolist()))
 
 
 def _new_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    values = np.full((n_rows, n_cols), NEG_INF, dtype=np.float64)
-    parents = np.full((n_rows, n_cols), -1, dtype=np.int32)
+    # column-major: the builders read and write a table column at a time
+    values = np.full((n_rows, n_cols), NEG_INF, dtype=np.float64, order="F")
+    parents = np.full((n_rows, n_cols), -1, dtype=np.int32, order="F")
     values[0, 0] = 0.0
     return values, parents
 
@@ -260,14 +266,15 @@ def _fill_columns(values, parents, a: int, b: int, first, row_maxima) -> None:
     starts at segment 1: column 1 is ``first``, the divergences of segments
     1..p for table rows p = a..b-1, plus ``values[0, 0]``, and needs no
     search.  For each later column, ``row_maxima(prev)`` receives rows
-    0..b-2 of the previous column, final by then, as a contiguous copy.  It
-    returns, for rows a..b-1, each row's best value and the 0-based start
-    segment achieving it; unreachable rows carry -inf.
+    0..b-2 of the previous column, final by then, as a view: the table is
+    column-major, so the view is contiguous, and no column is written while
+    it is read.  It returns, for rows a..b-1, each row's best value and the
+    0-based start segment achieving it; unreachable rows carry -inf.
     """
     values[a:b, 1] = first + values[0, 0]  # the add a scan would make: -0.0 becomes 0.0
     parents[a:b, 1] = np.where(values[a:b, 1] == NEG_INF, -1, 1)
     for q in range(2, values.shape[1]):
-        col_vals, col_args = row_maxima(values[: b - 1, q - 1].copy())
+        col_vals, col_args = row_maxima(values[: b - 1, q - 1])
         values[a:b, q] = col_vals
         parents[a:b, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
         del col_vals, col_args  # not held through the next column's solve
@@ -275,9 +282,15 @@ def _fill_columns(values, parents, a: int, b: int, first, row_maxima) -> None:
 
 # Most table rows per block of _TableBuilder, and the bytes each of its two
 # scratch buffers may hold: a block has as many rows of the divergence matrix
-# as fit in SLAB_BYTES, at least 1 and at most BLOCK_ROWS.
+# as fit in SLAB_BYTES, at least 1 and at most BLOCK_ROWS.  Both buffers
+# together fit a 2 MiB L2 cache, so each column's scan reads them from there.
 BLOCK_ROWS = 256
-SLAB_BYTES = 2 << 20
+SLAB_BYTES = 1 << 20
+
+
+def _block_rows(n_rows: int) -> int:
+    """Table rows per block of a table with ``n_rows`` rows."""
+    return max(1, min(BLOCK_ROWS, SLAB_BYTES // (8 * n_rows)))
 
 
 class _TableBuilder:
@@ -291,8 +304,11 @@ class _TableBuilder:
     is reachable with no regions; every later column is a scan of the slab
     plus the previous column's first b - 1 entries.  The slab and the
     scan's sum live in the heads of two flat scratch arrays that one
-    ``build`` allocates and every block reuses.  One instance serves every
-    prefix length a sweep asks for.
+    ``build`` allocates and every block reuses; a block has
+    ``_block_rows(n_rows)`` rows, so each array holds at most
+    ``SLAB_BYTES``.  The slab holds no NaN but may hold +-inf, so a scan's
+    sum is NaN only where the previous column is infinite too.  One
+    instance serves every prefix length a sweep asks for.
     """
 
     def __init__(self, dist: SegmentedDistribution) -> None:
@@ -300,7 +316,7 @@ class _TableBuilder:
 
     def build(self, n_rows: int, n_cols: int) -> DPTable:
         values, parents = _new_table(n_rows, n_cols)
-        rows = max(1, min(BLOCK_ROWS, SLAB_BYTES // (8 * n_rows)))
+        rows = _block_rows(n_rows)
         # allocated once per table, and as two arrays: one (2, size) array
         # raised the peak RSS of a 200k-record build and query by about 3 MB
         slab_buf, term_buf = np.empty(rows * (n_rows - 1)), np.empty(rows * (n_rows - 1))
@@ -329,10 +345,19 @@ def _scan(slab: np.ndarray, term: np.ndarray, prev: np.ndarray):
     """Row maxima of one block's column by scanning every candidate start.
 
     ``term`` is scratch space of the slab's shape, reused for every column.
+    Neither the slab nor a table column holds NaN, so a NaN in the sum is
+    +inf plus -inf, and only under an infinite ``prev`` entry: those
+    columns alone are repaired, to -inf.
     """
     with np.errstate(invalid="ignore"):
-        np.add(slab, prev, out=term)
-    term[np.isnan(term)] = NEG_INF  # unreachable prefix stays unreachable
+        # the same sums as np.add(slab, prev, out=term), faster: numpy adds
+        # in place quicker than into a third array
+        np.copyto(term, prev)
+        term += slab
+    cols = np.flatnonzero(np.isinf(prev))
+    cut = term[:, cols]
+    cut[np.isnan(cut)] = NEG_INF  # unreachable prefix stays unreachable
+    term[:, cols] = cut
     args = term.argmax(axis=1)
     return term[np.arange(args.size), args], args
 

@@ -376,13 +376,19 @@ def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
     One layout's masses and rates give a float; a (layouts x regions) batch
     gives one total per row, NaN where the row's rates are NaN.
     """
-    g = np.asarray(key_mass, dtype=np.float64)
     f = np.asarray(fprs, dtype=np.float64)
-    stores = (f < 1.0) & (g > 0.0) | np.isnan(f)
-    bits = _log2(np.where(stores, f, 1.0))
-    np.negative(bits, out=bits)
-    bits *= scaled_keys * g
-    total = _row_sums(np.atleast_2d(bits), np.atleast_2d(stores))
+    g_cols, f_cols = np.broadcast_arrays(
+        np.atleast_2d(np.asarray(key_mass, dtype=np.float64)), np.atleast_2d(f)
+    )
+    total = np.zeros(len(f_cols))
+    # by column, added left to right as in _row_sums: a large batch needs no
+    # temporaries of its own size
+    for g, fi in zip(g_cols.T, f_cols.T):
+        stores = (fi < 1.0) & (g > 0.0) | np.isnan(fi)
+        bits = _log2(np.where(stores, fi, 1.0))
+        np.negative(bits, out=bits)
+        bits *= scaled_keys * g
+        total += np.where(stores, bits, 0.0)
     return total if f.ndim == 2 else float(total[0])
 
 

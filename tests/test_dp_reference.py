@@ -27,7 +27,7 @@ from plbf import (
     zipfian_distribution,
 )
 from plbf import dp
-from plbf.dp import BLOCK_ROWS, NEG_INF, _TableBuilder
+from plbf.dp import BLOCK_ROWS, NEG_INF, _block_rows, _TableBuilder
 
 REFERENCE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -133,14 +133,16 @@ def sparse_skewed(rng, n, zero_share):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_row_blocks_equal_the_full_matrix_tables(n, k, seed):
-    # N spans at least three row blocks; the per-start tables cover the rows
-    # on both sides of every block boundary
+    # N spans at least three row blocks; the per-start tables end on both
+    # sides of each of their own block boundaries: their last block holds
+    # 1, 2, all but one or all of a block's rows
     rng = np.random.default_rng(seed)
     g, h = sparse_skewed(rng, n, 0.4), sparse_skewed(rng, n, 0.3)
     g[0] = h[-1] = 1e-3  # keep both totals positive
     raw = SegmentedDistribution.from_masses(g, h, n_keys=1000)
+    assert n - 1 > 2 * _block_rows(n)
     starts = {k, n} | {
-        edge + d for edge in range(1, n, BLOCK_ROWS) for d in (-1, 0, 1, 2) if k <= edge + d <= n
+        j for j in range(k, n + 1) if (j - 1) % _block_rows(j) in (0, 1, 2, _block_rows(j) - 1)
     }
     for d in (raw, ensure_positive_masses(raw)):
         table = divergence_table(d, k)
@@ -188,6 +190,40 @@ def test_byte_budgeted_blocks_equal_the_full_matrix_tables(n, k, rows, seed):
                 values, parents = reference_table(d, j, k)
                 assert window.values.tobytes() == values.tobytes(), j
                 assert window.parents.tobytes() == parents.tobytes(), j
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, None])
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize(
+    "no_nonkeys",
+    [slice(0, 13), slice(20, 21)],
+    ids=["-inf prev under +inf slab", "+inf prev under -inf slab"],
+)
+def test_opposite_infinities_sum_to_unreachable(no_nonkeys, k, rows):
+    # a region without non-key mass scores +inf.  Segments 1..13 without it
+    # put +inf into the slab columns whose prefixes are still unreachable
+    # (-inf); segment 21 without it makes every longer prefix +inf, also
+    # under the -inf of starts past the end in each block's corner.  Both
+    # sums are NaN and must come out -inf, as the reference makes them.
+    n = 40
+    g, h = np.linspace(1.0, 2.0, n), np.linspace(2.0, 1.0, n)
+    h[no_nonkeys] = 0.0
+    d = SegmentedDistribution.from_masses(g, h, n_keys=1000)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:  # `rows` table rows a block, else the default budget
+            mp.setattr(dp, "SLAB_BYTES", 8 * n * rows)
+        table = divergence_table(d, k)
+        values, parents = reference_table(d, n, k)
+        assert table.values.tobytes() == values.tobytes()
+        assert table.parents.tobytes() == parents.tobytes()
+        builder = _TableBuilder(d)
+        for j in range(k, n + 1):
+            if rows:
+                mp.setattr(dp, "SLAB_BYTES", 8 * j * rows)
+            window = builder.build(j, k)
+            values, parents = reference_table(d, j, k)
+            assert window.values.tobytes() == values.tobytes(), j
+            assert window.parents.tobytes() == parents.tobytes(), j
 
 
 def test_table_scratch_stays_within_the_byte_budget():

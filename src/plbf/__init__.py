@@ -27,7 +27,6 @@ from .distribution import (
     zipfian_distribution,
 )
 from .dp import (
-    DenseMatrix,
     DPTable,
     TransitionMatrix,
     divergence,
@@ -66,7 +65,6 @@ __all__ = [
     "BloomFilter",
     "BuildConfig",
     "DPTable",
-    "DenseMatrix",
     "InfeasibleError",
     "PlbfError",
     "PlbfFilter",

@@ -28,10 +28,12 @@ Two builders produce these tables:
 
 Both builders score a region by one rule.  Its masses come from
 ``SegmentedDistribution.masses`` and its G * log2(G / H) from
-``_divergence_rule``: 0 without key mass, +inf when G / H is +inf, -inf
-when G / H underflows to 0.  Only the log2 differs: the full builder takes
-``np.log2`` over its slab in place, and the row-maxima builder, through
-:func:`divergences`, ``math.log2`` entry by entry.
+``_divergence_rule``, which takes ``np.log2`` in place: 0 without key mass,
++inf when G / H is +inf, -inf when G / H underflows to 0.  The full builder
+applies it to its slab, the row-maxima builder, through :func:`divergences`,
+to the cells it evaluates, so both give a region the same bits: where the
+candidate matrices are monotone the two agree bit for bit, values and
+parents.
 
 Tables are column-major: both builders write a column at a time and read
 the previous one whole, as a contiguous view.  A sum in a column search is
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import log2
 from operator import itemgetter
 from typing import Protocol
 
@@ -82,33 +83,18 @@ def divergence(dist: SegmentedDistribution, first: int, last: int) -> float:
     return float(divergences(dist, first - 1, last))
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP.
-
-    A zero entry gives -inf, as in ``np.log2``, where ``math.log2`` raises.
-    A memoryview hands out one Python float at a time, as fast as a list
-    would and without holding them all.
-    """
-    zero = x == 0.0
-    if not zero.any():
-        return np.fromiter(map(log2, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
-    out = _log2(np.where(zero, 1.0, x))
-    out[zero] = NEG_INF
-    return out
-
-
-def _divergence_rule(g: np.ndarray, h: np.ndarray, log2) -> np.ndarray:
+def _divergence_rule(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """G * log2(G / H) of the regions with key masses ``g`` and non-key masses ``h``.
 
     The one rule both builders score regions with, written over ``h``:
-    divide, ``log2``, multiply, then NaN becomes 0, since a region with no
-    key mass contributes nothing.  G / H is +inf for no non-key mass or an
-    overflow, and 0 for an underflow, which scores -inf.  ``log2`` maps an
-    array to its entries' logs, in place or as a new array.
+    divide, ``np.log2``, multiply, all in place, then NaN becomes 0, since a
+    region with no key mass contributes nothing.  G / H is +inf for no
+    non-key mass or an overflow, and 0 for an underflow, which scores -inf.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(g, h, out=h)
-        np.multiply(g, log2(h), out=h)
+        np.log2(h, out=h)
+        np.multiply(g, h, out=h)
     np.copyto(h, 0.0, where=np.isnan(h))
     return h
 
@@ -116,12 +102,12 @@ def _divergence_rule(g: np.ndarray, h: np.ndarray, log2) -> np.ndarray:
 def divergences(dist: SegmentedDistribution, lo, hi) -> np.ndarray:
     """:func:`divergence` of segments lo+1..hi, elementwise over index arrays.
 
-    The ranges are not checked.  Each entry takes ``math.log2``, whatever
-    numpy's own log2 does on this CPU; otherwise the rule is the N x k
-    slab's, -inf for an underflowed G / H included.
+    The ranges are not checked.  The rule is the N x k slab's, ``np.log2``
+    and -inf for an underflowed G / H included, so an entry here equals the
+    slab's entry for the same region to the bit.
     """
     g, h = dist.masses(lo, hi)
-    return _divergence_rule(g, np.asarray(h), _log2)
+    return _divergence_rule(g, np.asarray(h))
 
 
 @dataclass(frozen=True)
@@ -161,25 +147,6 @@ class MatrixLike(Protocol):
 
     def value(self, row, col):  # pragma: no cover - protocol
         ...
-
-
-class DenseMatrix:
-    """Adapter exposing a 2-D sequence through the matrix protocol."""
-
-    __slots__ = ("_values", "row_count", "col_count")
-
-    def __init__(self, rows) -> None:
-        rows = [np.asarray(row, dtype=np.float64) for row in rows]
-        self.row_count = len(rows)
-        self.col_count = len(rows[0]) if rows else 0
-        if any(r.shape != (self.col_count,) for r in rows):
-            raise ValidationError("ragged rows")
-        self._values = np.array(rows).reshape(self.row_count, self.col_count)
-        if np.isnan(self._values).any():
-            raise ValidationError("NaN entry: the matrix protocol has none")
-
-    def value(self, row, col):
-        return self._values[row, col]
 
 
 class TransitionMatrix:
@@ -335,7 +302,7 @@ class _TableBuilder:
         ``g_mat``, of the same shape, is scratch for the key masses.
         """
         self._dist.masses(np.s_[: b - 1], np.s_[a:b, None], out=(g_mat, div))
-        _divergence_rule(g_mat, div, partial(np.log2, out=div))
+        _divergence_rule(g_mat, div)
         # a start past the end, c >= a + i for table row a + i, needs c >= a:
         # only the block's corner of columns a..b-2 holds one
         div[:, a:][np.arange(a, b - 1) >= np.arange(a, b)[:, None]] = NEG_INF

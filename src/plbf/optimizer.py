@@ -37,7 +37,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from math import inf
+from math import inf, log2
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .distribution import SegmentedDistribution
 from .dp import (
     NEG_INF,
     DPTable,
-    _log2,
     _TableBuilder,
     divergence_table,
     divergence_table_monotone,
@@ -222,6 +221,21 @@ def _positive_masses(key_mass, nonkey_mass) -> tuple[np.ndarray, np.ndarray, boo
     if not (((0.0 < g) & (g < inf)).all() and ((0.0 < h) & (h < inf)).all()):
         raise ValidationError("region masses must be finite and positive")
     return g.reshape(-1, g.shape[-1]), h.reshape(-1, h.shape[-1]), g.ndim == 2
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of every entry: ``np.log2`` can differ from it by one ULP.
+
+    A zero entry gives -inf, as in ``np.log2``, where ``math.log2`` raises.
+    A memoryview hands out one Python float at a time, as fast as a list
+    would and without holding them all.
+    """
+    zero = x == 0.0
+    if not zero.any():
+        return np.fromiter(map(log2, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
+    out = _log2(np.where(zero, 1.0, x))
+    out[zero] = NEG_INF
+    return out
 
 
 def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Shared test helpers: random inputs, counting wrappers, planted matrices."""
+"""Shared test helpers: random inputs, dense and counting matrices, planted matrices."""
 
 import numpy as np
 
-from plbf import DenseMatrix, SegmentedDistribution
+from plbf import SegmentedDistribution, ValidationError
 
 
 def random_distribution(rng, n_segments, lo=0.05, hi=1.0, n_keys=1000):
@@ -17,6 +17,25 @@ def underflow_distribution():
     return SegmentedDistribution.from_masses(
         [1e-300, 1, 1, 1], [1e300, 1, 1, 1], n_keys=10, normalize=False
     )
+
+
+class DenseMatrix:
+    """Adapter exposing a 2-D sequence through the matrix protocol."""
+
+    __slots__ = ("_values", "row_count", "col_count")
+
+    def __init__(self, rows) -> None:
+        rows = [np.asarray(row, dtype=np.float64) for row in rows]
+        self.row_count = len(rows)
+        self.col_count = len(rows[0]) if rows else 0
+        if any(r.shape != (self.col_count,) for r in rows):
+            raise ValidationError("ragged rows")
+        self._values = np.array(rows).reshape(self.row_count, self.col_count)
+        if np.isnan(self._values).any():
+            raise ValidationError("NaN entry: the matrix protocol has none")
+
+    def value(self, row, col):
+        return self._values[row, col]
 
 
 class CountingMatrix:

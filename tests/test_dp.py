@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import weakref
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import (
     CountingMatrix,
+    DenseMatrix,
     planted_monotone_matrix,
     random_distribution,
     underflow_distribution,
@@ -15,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbf import (
-    DenseMatrix,
     DPTable,
     InfeasibleError,
     SegmentedDistribution,
@@ -94,8 +95,6 @@ class TestDivergence:
     @example(masses=[(5e-324, 1e-310), (1e-310, 5e-324), (1.0, 0.0)])  # subnormals
     @given(masses=st.lists(st.tuples(EDGE_MASSES, EDGE_MASSES), min_size=2, max_size=7))
     def test_every_region_gets_the_slabs_value(self, masses):
-        # the row-maxima builder's divergences and the N x k builder's slab
-        # share one rule; only their log2s may differ, by an ULP or so
         g, h = zip(*masses)
         d = SegmentedDistribution.from_masses(g, h, n_keys=1, normalize=False)
         rows, cols = np.tril_indices(d.n_segments - 1)  # every region c+1..r+1
@@ -103,11 +102,7 @@ class TestDivergence:
         got = divergences(d, cols, rows + 1)
         assert [divergence(d, c + 1, r + 1) for r, c in zip(rows, cols)] == got.tolist()
         assert not np.isnan(got).any()
-        for special in (0.0, math.inf, NEG_INF):
-            assert ((got == special) == (want == special)).all(), special
-        finite = np.isfinite(want) & (want != 0.0)
-        # a subnormal product carries fewer bits, so allow it two of its steps
-        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-323)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDivergenceTable:
@@ -338,16 +333,19 @@ class TestTransitionMatrix:
 
 
 class TestMonotoneTable:
+    # The paper's guarantee, to the bit: on an ideal histogram both builders
+    # score every region with the one rule, and divide and conquer finds the
+    # scan's maxima.  The property for sparse or subnormal ideal histograms
+    # waits for exact region masses (ROADMAP direction 8): a mass below one
+    # ULP of its prefix sum vanishes from it today, and the two builders'
+    # tables can differ.
     def test_equals_full_table_on_ideal_distribution(self):
-        d = zipfian_distribution(SyntheticSpec(100, 1000, 1000))
-        full = divergence_table(d, 5)
-        mono = divergence_table_monotone(d, 5)
-        reachable = full.values != NEG_INF
-        assert np.allclose(
-            full.values[reachable], mono.values[reachable], rtol=1e-9, atol=1e-12
-        )
-        starts = range(5, 101)
-        assert trace_layouts(mono, starts, 5).tolist() == trace_layouts(full, starts, 5).tolist()
+        for n, k, exponent in itertools.product((300, 1000, 4000), (2, 5, 8), (0.5, 1.0, 2.0)):
+            d = zipfian_distribution(SyntheticSpec(n, 1000, 1000, exponent))
+            full = divergence_table(d, k)
+            mono = divergence_table_monotone(d, k)
+            assert mono.values.tobytes() == full.values.tobytes(), (n, k, exponent)
+            assert mono.parents.tobytes() == full.parents.tobytes(), (n, k, exponent)
 
     def test_underflowed_ratio_is_unreachable_in_both_builders(self):
         d = underflow_distribution()

@@ -8,16 +8,15 @@ scalar divide-and-conquer loop over single-cell ``value`` calls.
 """
 
 import tracemalloc
-from math import inf, log2
+from math import inf
 
 import numpy as np
 import pytest
-from conftest import CountingMatrix
+from conftest import CountingMatrix, DenseMatrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbf import (
-    DenseMatrix,
     SegmentedDistribution,
     SyntheticSpec,
     divergence_table,
@@ -102,7 +101,7 @@ class ScalarTransitionMatrix:
         sh = self.hp[row + 1] - self.hp[col]
         if sh <= 0.0:
             return inf
-        return prev + sg * log2(sg / sh)
+        return prev + sg * float(np.log2(sg / sh))
 
 
 def reference_monotone_table(dist, n_cols):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_distribution, underflow_distribution
+from conftest import DenseMatrix, random_distribution, underflow_distribution
 
 from plbf import (
     BuildConfig,
-    DenseMatrix,
     PlbfError,
     SegmentedDistribution,
     ValidationError,

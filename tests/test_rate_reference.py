@@ -18,8 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbf import InfeasibleError, optimal_fprs_for_fpr, optimal_fprs_for_memory
-from plbf.dp import _log2
-from plbf.optimizer import FPR_FLOOR, _row_sums
+from plbf.optimizer import FPR_FLOOR, _log2, _row_sums
 
 REFERENCE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

@@ -115,10 +115,10 @@ class SegmentedDistribution:
 
     ``g[i]`` (``h[i]``) is the probability that a key (non-key) score lands in
     segment ``i`` of the equal-width bins of [0, 1].  The constructor takes
-    the two mass vectors as they are; :meth:`from_masses` validates and
-    normalizes raw masses first.  ``n_keys`` records how many key elements
-    produced ``g``; sizing formulas need it even though the masses
-    themselves are normalized.
+    the two mass vectors as they are, refusing only a total that overflows;
+    :meth:`from_masses` validates and normalizes raw masses first.
+    ``n_keys`` records how many key elements produced ``g``; sizing formulas
+    need it even though the masses themselves are normalized.
 
     Everything else is derived here, once: ``n_segments`` is the vectors'
     length, and the prefix arrays have ``n_segments + 1`` entries with
@@ -138,8 +138,12 @@ class SegmentedDistribution:
         if g.ndim != 1 or g.shape != h.shape or g.size < 1:
             raise ValidationError("mass vectors must be 1-D and equally sized")
         object.__setattr__(self, "n_segments", int(g.size))
-        object.__setattr__(self, "g_prefix", np.concatenate(([0.0], np.cumsum(g))))
-        object.__setattr__(self, "h_prefix", np.concatenate(([0.0], np.cumsum(h))))
+        with np.errstate(over="ignore"):
+            g_prefix, h_prefix = np.cumsum(g), np.cumsum(h)
+        if not (np.isfinite(g_prefix[-1]) and np.isfinite(h_prefix[-1])):
+            raise ValidationError("mass vectors must have finite totals")
+        object.__setattr__(self, "g_prefix", np.concatenate(([0.0], g_prefix)))
+        object.__setattr__(self, "h_prefix", np.concatenate(([0.0], h_prefix)))
         for arr in (g, h, self.g_prefix, self.h_prefix):
             arr.setflags(write=False)
 
@@ -169,7 +173,7 @@ class SegmentedDistribution:
         *,
         normalize: bool = True,
     ) -> "SegmentedDistribution":
-        """Build from raw nonnegative mass vectors.
+        """Build from raw nonnegative mass vectors with finite totals.
 
         With ``normalize`` (the default) each vector is scaled to sum to 1;
         callers passing already-normalized masses can switch it off to keep
@@ -185,7 +189,10 @@ class SegmentedDistribution:
         if (g < 0).any() or (h < 0).any():
             raise ValidationError("mass vectors must be nonnegative")
         if normalize:
-            gs, hs = g.sum(), h.sum()
+            with np.errstate(over="ignore"):
+                gs, hs = g.sum(), h.sum()
+            if not (np.isfinite(gs) and np.isfinite(hs)):
+                raise ValidationError("mass vectors must have finite totals")
             if gs <= 0 or hs <= 0:
                 raise ValidationError("each mass vector needs positive total mass")
             g = g / gs

@@ -35,11 +35,15 @@ to the cells it evaluates, so both give a region the same bits: where the
 candidate matrices are monotone the two agree bit for bit, values and
 parents.
 
+Both builders also weigh a candidate by one rule: the previous column's
+entry plus the region's divergence, added for every cell, with -inf for a
+start past the end and for a NaN sum.  The divergence rule leaves no NaN and
+a table holds none, so a sum is NaN only as +inf plus -inf.  The full
+builder repairs only the candidates whose previous-column entry is
+infinite; the row-maxima builder checks every cell it evaluates.
+
 Tables are column-major: both builders write a column at a time and read
-the previous one whole, as a contiguous view.  A sum in a column search is
-NaN only as +inf plus -inf: the rule leaves no NaN in a divergence, and a
-table holds none, so the full builder repairs, to -inf, only the candidates
-whose previous-column entry is infinite.
+the previous one whole, as a contiguous view.
 
 Neither builder searches column 1.  Column 0 is reachable only at row 0, so
 a one-region clustering of any prefix starts at segment 1: ``_fill_columns``
@@ -154,9 +158,11 @@ class TransitionMatrix:
 
     Entry (row, col) is the value of ending the current region at segment
     ``row + 1`` having started it at segment ``col + 1``: the previous
-    column's value for the shorter prefix plus the region's divergence.
-    Starting past the end (col > row) is -inf, as is any start whose prefix
-    was itself unreachable.  An array ``prev_column`` is read, not copied.
+    column's value for the shorter prefix plus the region's divergence,
+    the sum the full builder's scan makes.  Every cell is summed; starting
+    past the end (col > row) is -inf, and so is +inf plus -inf, so an
+    unreachable prefix stays unreachable and no entry is NaN.  An array
+    ``prev_column`` is read, not copied.
     """
 
     __slots__ = ("_dist", "_prev", "row_count", "col_count")
@@ -169,9 +175,10 @@ class TransitionMatrix:
 
     def value(self, row, col):
         rows, cols = np.asarray(row), np.asarray(col)
-        out = np.where(cols > rows, NEG_INF, self._prev[cols])
-        reach = out != NEG_INF
-        out[reach] += divergences(self._dist, cols[reach], rows[reach] + 1)
+        with np.errstate(invalid="ignore"):
+            out = divergences(self._dist, cols, rows + 1)
+            out += self._prev[cols]
+        out[(cols > rows) | np.isnan(out)] = NEG_INF
         return out if out.ndim else float(out)
 
 

@@ -74,6 +74,15 @@ class TestSegmentedDistribution:
         with pytest.raises(ValidationError, match="each mass vector needs positive total mass"):
             SegmentedDistribution.from_masses([0.0, 0.0], [1.0, 1.0], n_keys=1)
 
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("side", ["keys", "nonkeys"])
+    def test_rejects_total_that_overflows(self, side, normalize):
+        # each mass is finite, the sum is not: no warning, no normalization to 0
+        huge, small = [1.7e308, 1.7e308, 1.0], [1.0, 1.0, 1.0]
+        g, h = (huge, small) if side == "keys" else (small, huge)
+        with pytest.raises(ValidationError, match="^mass vectors must have finite totals$"):
+            SegmentedDistribution.from_masses(g, h, n_keys=10, normalize=normalize)
+
     @pytest.mark.parametrize("g, h", [
         (np.ones((2, 2)), np.ones((2, 2))),
         (np.ones(3), np.ones(2)),
@@ -82,6 +91,10 @@ class TestSegmentedDistribution:
     def test_constructor_rejects_bad_shapes(self, g, h):
         with pytest.raises(ValidationError, match="^mass vectors must be 1-D and equally sized$"):
             SegmentedDistribution(g, h, 1)
+
+    def test_constructor_rejects_prefix_sum_that_overflows(self):
+        with pytest.raises(ValidationError, match="^mass vectors must have finite totals$"):
+            SegmentedDistribution(np.array([1.7e308, 1.7e308]), np.array([0.5, 0.5]), 1)
 
     def test_constructor_derives_read_only_arrays(self):
         d = SegmentedDistribution(np.array([0.25, 0.75]), np.array([0.5, 0.5]), 4)

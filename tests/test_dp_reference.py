@@ -8,7 +8,7 @@ scalar divide-and-conquer loop over single-cell ``value`` calls.
 """
 
 import tracemalloc
-from math import inf
+from math import inf, isnan
 
 import numpy as np
 import pytest
@@ -82,7 +82,11 @@ def reference_row_maxima(matrix):
 
 
 class ScalarTransitionMatrix:
-    """The candidate matrix of one column update, one Python float at a time."""
+    """The candidate matrix of one column update, one Python float at a time.
+
+    A candidate is the previous entry plus the region's divergence; +inf
+    plus -inf, the one NaN such a sum can make, is -inf, as in the scan.
+    """
 
     def __init__(self, dist, prev):
         self.gp, self.hp = dist.g_prefix.tolist(), dist.h_prefix.tolist()
@@ -92,16 +96,17 @@ class ScalarTransitionMatrix:
     def value(self, row, col):
         if col > row:
             return NEG_INF
-        prev = self.prev[col]
-        if prev == NEG_INF:
-            return NEG_INF
         sg = self.gp[row + 1] - self.gp[col]
-        if sg <= 0.0:
-            return prev
         sh = self.hp[row + 1] - self.hp[col]
-        if sh <= 0.0:
-            return inf
-        return prev + sg * float(np.log2(sg / sh))
+        if sg <= 0.0:
+            div = 0.0
+        elif sh <= 0.0:
+            div = inf
+        else:
+            with np.errstate(divide="ignore"):  # G / H underflowed to 0
+                div = sg * float(np.log2(sg / sh))
+        total = self.prev[col] + div
+        return NEG_INF if isnan(total) else total
 
 
 def reference_monotone_table(dist, n_cols):
@@ -223,6 +228,26 @@ def test_opposite_infinities_sum_to_unreachable(no_nonkeys, k, rows):
             values, parents = reference_table(d, j, k)
             assert window.values.tobytes() == values.tobytes(), j
             assert window.parents.tobytes() == parents.tobytes(), j
+    table = divergence_table_monotone(d, k)
+    values, parents = reference_monotone_table(d, k)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.parents.tobytes() == parents.tobytes()
+
+
+def test_infinite_prefix_under_underflowed_region_is_unreachable():
+    # segment 1 alone scores +inf and segment 2 alone -inf, so the candidate
+    # that extends the one-region prefix 1..1 by the region 2..2 is +inf
+    # plus -inf: both builders make it -inf and agree byte for byte
+    d = SegmentedDistribution.from_masses(
+        [1e-300, 1e-300, 1, 1, 1], [0, 1e300, 1, 1, 1], n_keys=10, normalize=False
+    )
+    table = divergence_table_monotone(d, 3)
+    values, parents = reference_monotone_table(d, 3)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.parents.tobytes() == parents.tobytes()
+    full = divergence_table(d, 3)
+    assert table.values.tobytes() == full.values.tobytes()
+    assert table.parents.tobytes() == full.parents.tobytes()
 
 
 def test_table_scratch_stays_within_the_byte_budget():

@@ -21,10 +21,12 @@ Two builders produce these tables:
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column, evaluated one recursion
-  level at a time: O(log N) array calls per column.  Exact when the
-  candidate matrices are monotone (argmax column non-decreasing by row),
-  which holds whenever the score distribution is ideal; otherwise entries
-  can fall below the exhaustive table, never above.
+  level at a time: O(log N) array calls per column.  Each column's maxima
+  and argmax columns arrive as arrays, written by
+  :func:`monotone_row_maxima` into one pair of buffers the table reuses.
+  Exact when the candidate matrices are monotone (argmax column
+  non-decreasing by row), which holds whenever the score distribution is
+  ideal; otherwise entries can fall below the exhaustive table, never above.
 
 Both builders score a region by one rule.  Its masses come from
 ``SegmentedDistribution.masses`` and its G * log2(G / H) from
@@ -55,14 +57,14 @@ start-0 cells), and searches columns 2..k-1 only.
 many final-region starts at once and checks every step, so a malformed
 table raises rather than yielding a layout that is not a clustering.
 
-All functions are pure; tables are immutable once returned.
+All functions are pure, apart from the ``out`` arrays a caller hands
+:func:`monotone_row_maxima`; tables are immutable once returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -182,8 +184,10 @@ class TransitionMatrix:
         return out if out.ndim else float(out)
 
 
-def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
-    """Per-row (argmax column, value), assuming row argmaxes never decrease.
+def monotone_row_maxima(
+    matrix: MatrixLike, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> list[tuple[int, float]] | tuple[np.ndarray, np.ndarray]:
+    """Per-row maximum and argmax column, assuming row argmaxes never decrease.
 
     Divide and conquer: solve the middle row by scanning its permitted column
     range, then recurse on the halves with the range split at the argmax.
@@ -194,35 +198,47 @@ def monotone_row_maxima(matrix: MatrixLike) -> list[tuple[int, float]]:
     The recursion runs one level at a time: every pending (row range, column
     range) segment contributes its middle row's cells to one
     ``matrix.value`` call, so a solve makes O(log n) calls.
+
+    ``out``, a pair of length-n arrays (float64 values, int64 columns),
+    receives each row's maximum and its argmax column, and is returned.
+    Without it the result is a list of (column, value) tuples, one per row,
+    read from the same two arrays.  With no rows or no columns every row
+    gets -inf at column 0.
     """
     n, m = matrix.row_count, matrix.col_count
+    best, args = (np.empty(n), np.empty(n, dtype=np.int64)) if out is None else out
     if n == 0 or m == 0:
-        return [(0, NEG_INF)] * n
-    # argmax[r + 1] is row r's argmax column once found: a pending row range
-    # r_lo..r_hi searches the columns from argmax[r_lo] to argmax[r_hi + 2],
-    # those of the rows around it, or of the edge columns 0 and m - 1
-    argmax = np.empty(n + 2, dtype=np.int64)
-    argmax[0], argmax[-1] = 0, m - 1
-    best = np.empty(n)  # every row is the middle row of one range
-    r_lo, r_hi = np.array([0]), np.array([n - 1])
-    while r_lo.size:
-        mid = (r_lo + r_hi) >> 1
-        c_lo = argmax[r_lo]
-        width = argmax[r_hi + 2] - c_lo + 1
-        ends = width.cumsum()
-        starts = ends - width
-        cols = np.arange(ends[-1]) - (starts - c_lo).repeat(width)
-        vals = np.asarray(matrix.value(mid.repeat(width), cols), dtype=np.float64)
-        best[mid] = seg_max = np.maximum.reduceat(vals, starts)
-        # each segment's first cell holding its maximum
-        hits = (vals == seg_max.repeat(width)).nonzero()[0]
-        argmax[mid + 1] = cols[hits[hits.searchsorted(starts)]]
-        # the rows above the middle one and the rows below it; empty ranges
-        # drop out
-        r_lo, r_hi = np.concatenate((r_lo, mid + 1)), np.concatenate((mid - 1, r_hi))
-        keep = r_lo <= r_hi
-        r_lo, r_hi = r_lo[keep], r_hi[keep]
-    return list(zip(argmax[1:-1].tolist(), best.tolist()))
+        best.fill(NEG_INF)
+        args.fill(0)
+    else:
+        # argmax[r + 1] is row r's argmax column once found: a pending row
+        # range r_lo..r_hi searches the columns from argmax[r_lo] to
+        # argmax[r_hi + 2], those of the rows around it, or of the edge
+        # columns 0 and m - 1
+        argmax = np.empty(n + 2, dtype=np.int64)
+        argmax[0], argmax[-1] = 0, m - 1
+        r_lo, r_hi = np.array([0]), np.array([n - 1])
+        while r_lo.size:  # every row is the middle row of one range
+            mid = (r_lo + r_hi) >> 1
+            c_lo = argmax[r_lo]
+            width = argmax[r_hi + 2] - c_lo + 1
+            ends = width.cumsum()
+            starts = ends - width
+            cols = np.arange(ends[-1]) - (starts - c_lo).repeat(width)
+            vals = np.asarray(matrix.value(mid.repeat(width), cols), dtype=np.float64)
+            best[mid] = seg_max = np.maximum.reduceat(vals, starts)
+            # each segment's first cell holding its maximum
+            hits = (vals == seg_max.repeat(width)).nonzero()[0]
+            argmax[mid + 1] = cols[hits[hits.searchsorted(starts)]]
+            # the rows above the middle one and the rows below it; empty
+            # ranges drop out
+            r_lo, r_hi = np.concatenate((r_lo, mid + 1)), np.concatenate((mid - 1, r_hi))
+            keep = r_lo <= r_hi
+            r_lo, r_hi = r_lo[keep], r_hi[keep]
+        args[:] = argmax[1:-1]
+    if out is None:
+        return list(zip(args.tolist(), best.tolist()))
+    return out
 
 
 def _new_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +267,6 @@ def _fill_columns(values, parents, a: int, b: int, first, row_maxima) -> None:
         col_vals, col_args = row_maxima(values[: b - 1, q - 1])
         values[a:b, q] = col_vals
         parents[a:b, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
-        del col_vals, col_args  # not held through the next column's solve
 
 
 # Most table rows per block of _TableBuilder, and the bytes each of its two
@@ -359,12 +374,14 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     """
     _validate_regions(dist, n_regions)
 
-    def row_maxima(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        maxima = monotone_row_maxima(TransitionMatrix(dist, prev))
-        vals = np.fromiter(map(itemgetter(1), maxima), np.float64, len(maxima))
-        return vals, np.fromiter(map(itemgetter(0), maxima), np.int64, len(maxima))
-
     n = dist.n_segments
+    # one pair for every column: _fill_columns copies a column's maxima into
+    # the table before the next solve writes over them
+    out = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
+
+    def row_maxima(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return monotone_row_maxima(TransitionMatrix(dist, prev), out)
+
     values, parents = _new_table(n, n_regions)
     # the cells a divide and conquer over column 1 would evaluate: start 0 only
     first = divergences(dist, np.zeros(n - 1, np.int64), np.arange(1, n))

@@ -437,10 +437,19 @@ def _planning_input(
     """The histogram a planner reads: ``dist`` checked against ``config``, floored.
 
     Every planner, :func:`planning_table` and the oracle start here, so the
-    table ``--dump-dp`` writes is the one a plan was traced from.
+    table ``--dump-dp`` writes is the one a plan was traced from.  A mass
+    vector whose floored total is more than ``MASS_SUM_TOLERANCE`` from 1
+    is refused here, before any table is built, rather than by the plan.
     """
     config.require_matching(dist)
-    return ensure_positive_masses(dist)
+    dist = ensure_positive_masses(dist)
+    for name, total in (("key", dist.g_prefix[-1]), ("non-key", dist.h_prefix[-1])):
+        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
+            raise ValidationError(
+                f"{name} masses sum to {float(total)!r}, not 1 within "
+                f"{MASS_SUM_TOLERANCE:g}: normalize the histogram"
+            )
+    return dist
 
 
 def planning_table(dist: SegmentedDistribution, config: BuildConfig) -> DPTable:

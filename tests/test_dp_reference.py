@@ -272,9 +272,9 @@ def test_only_columns_after_the_one_region_column_are_searched(monkeypatch, k):
     calls = []
 
     def counted(f):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(f.__name__)
-            return f(*args)
+            return f(*args, **kwargs)
 
         return wrapper
 
@@ -308,6 +308,49 @@ def test_level_at_a_time_equals_the_scalar_loop(n, m, seed):
     counted, scalar = CountingMatrix(matrix), CountingMatrix(matrix)
     assert monotone_row_maxima(counted) == reference_row_maxima(scalar)
     assert counted.calls == scalar.calls
+
+
+def row_maxima_case(n, m, monotone, seed):
+    """An n x m DenseMatrix with ties and -inf entries, monotone or not.
+
+    A monotone one peaks on a plateau around sorted targets, so its leftmost
+    argmax never decreases, and is -inf past a band beyond each target.
+    """
+    rng = np.random.default_rng(seed)
+    if monotone:
+        targets = np.sort(rng.integers(0, max(m, 1), size=(n, 1)), axis=0)
+        cols = np.arange(m)
+        rows = np.minimum(int(rng.integers(0, 3)) - abs(cols - targets), 0).astype(np.float64)
+        rows[cols > targets + int(rng.integers(1, 4))] = NEG_INF
+    else:
+        rows = rng.integers(-3, 4, size=(n, m)).astype(np.float64)
+        rows[rng.uniform(size=(n, m)) < 0.2] = NEG_INF
+    matrix = DenseMatrix(rows)
+    matrix.row_count, matrix.col_count = n, m  # DenseMatrix([]) reads as 0 x 0
+    return matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(n=0, m=5, monotone=False, seed=0)
+@example(n=4, m=0, monotone=False, seed=0)
+@example(n=1, m=1, monotone=True, seed=0)
+@example(n=6, m=1, monotone=True, seed=1)
+@example(n=6, m=1, monotone=False, seed=2)
+@given(
+    n=st.integers(0, 40),
+    m=st.integers(0, 40),
+    monotone=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_path_equals_the_list_path(n, m, monotone, seed):
+    # the divergence table reads each column's maxima from arrays the solver
+    # writes; the list of (column, value) tuples must say the same
+    matrix = row_maxima_case(n, m, monotone, seed)
+    listed = monotone_row_maxima(matrix)
+    out = np.full(n, np.nan), np.full(n, -7, dtype=np.int64)
+    assert monotone_row_maxima(matrix, out) is out
+    assert out[1].tolist() == [c for c, _ in listed]
+    assert out[0].tobytes() == np.array([v for _, v in listed], dtype=np.float64).tobytes()
 
 
 @REFERENCE_SETTINGS

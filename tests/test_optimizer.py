@@ -32,6 +32,7 @@ from plbf import (
     solve_timed,
     zipfian_distribution,
 )
+from plbf import optimizer, oracle
 from plbf.optimizer import FPR_FLOOR, MASS_SUM_TOLERANCE, MAX_SEGMENTS
 from plbf.oracle import best_clustering_exhaustive, exhaustive_plan
 
@@ -573,14 +574,67 @@ class TestSolve:
         cfg = BuildConfig(framework="memory", n_segments=25, n_regions=4, memory_bits=2500.0)
         assert solve(d, cfg) == solve(d, cfg)
 
-    def test_underflowed_region_ratio_is_infeasible_for_every_planner(self):
-        # segment 1's divergence is -inf in both DP builders
+    def test_underflowed_region_ratio_is_refused_for_every_planner(self):
+        # segment 1's G / H underflows only because H sums far above 1: the
+        # planners refuse the histogram before a table scores it -inf
         d = underflow_distribution()
         for algorithm in ALGORITHMS:
             cfg = BuildConfig(framework="fpr", n_segments=4, n_regions=2,
                               algorithm=algorithm, target_fpr=0.01)
-            with pytest.raises(InfeasibleError, match="no feasible region layout"):
+            with pytest.raises(ValidationError, match=r"key masses sum to 3\.0,"):
                 solve(d, cfg)
+
+
+class TestPlanningInput:
+    """Every planner, planning_table and the oracle refuse unnormalized masses first."""
+
+    @staticmethod
+    def _refuse_tables(monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(optimizer, "divergence_table", no_table)
+        monkeypatch.setattr(optimizer, "divergence_table_monotone", no_table)
+        monkeypatch.setattr(optimizer._TableBuilder, "build", no_table)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_planner_refuses_before_any_table(self, monkeypatch, algorithm):
+        d = SegmentedDistribution.from_masses([2, 1, 1, 1], [1, 1, 1, 1], 10, normalize=False)
+        cfg = BuildConfig("fpr", 4, 2, algorithm=algorithm, target_fpr=0.01)
+        self._refuse_tables(monkeypatch)
+        with pytest.raises(ValidationError, match=r"^key masses sum to 5\.0, not 1"):
+            solve(d, cfg)
+        with pytest.raises(ValidationError, match=r"^key masses sum to 5\.0, not 1"):
+            planning_table(d, cfg)
+
+    def test_the_oracle_refuses_too(self, monkeypatch):
+        d = SegmentedDistribution.from_masses([2, 1, 1, 1], [1, 1, 1, 1], 10, normalize=False)
+        monkeypatch.setattr(oracle, "best_clustering_exhaustive", None)  # never reached
+        with pytest.raises(ValidationError, match=r"^key masses sum to 5\.0, not 1"):
+            exhaustive_plan(d, BuildConfig("memory", 4, 2, memory_bits=100.0))
+
+    def test_names_the_non_key_side(self):
+        d = SegmentedDistribution.from_masses([0.5, 0.5, 0.0], [0.25, 0.25, 0.25], 10,
+                                              normalize=False)
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ValidationError, match=r"^non-key masses sum to 0\.75, not 1"):
+                solve(d, BuildConfig("fpr", 3, 2, algorithm=algorithm, target_fpr=0.1))
+
+    def test_the_tolerance_bounds_the_total(self):
+        # a total off by less than MASS_SUM_TOLERANCE, as floored empty
+        # segments and rounding leave it, still plans; a little more does not
+        def dist(excess):
+            return SegmentedDistribution.from_masses(
+                [0.5, 0.25, 0.25 + excess], [0.25, 0.25, 0.5], 10, normalize=False
+            )
+
+        for algorithm in ALGORITHMS:
+            cfg = BuildConfig("fpr", 3, 2, algorithm=algorithm, target_fpr=0.1)
+            assert solve(dist(0.9 * MASS_SUM_TOLERANCE), cfg).n_regions == 2
+            assert planning_table(dist(0.9 * MASS_SUM_TOLERANCE), cfg).n_cols == 2
+            with pytest.raises(ValidationError, match="^key masses sum to"):
+                solve(dist(1.1 * MASS_SUM_TOLERANCE), cfg)
+        assert exhaustive_plan(dist(0.9 * MASS_SUM_TOLERANCE), cfg).n_regions == 2
 
 
 class TestEnsurePositiveMasses:

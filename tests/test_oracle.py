@@ -132,8 +132,8 @@ class TestExhaustivePlan:
         dict(framework="memory", memory_bits=60000.0),
     ], ids=["fpr", "memory"])
     def test_underflowed_region_ratio_raises_a_plbf_error(self, budget):
-        # starts with no clustering are skipped; on these unnormalized masses
-        # what remains is refused, by the rate solver or the plan check
+        # these masses are unnormalized, so the histogram is refused before
+        # any clustering is scored
         cfg = BuildConfig(n_segments=4, n_regions=2, **budget)
         with pytest.raises(PlbfError):
             exhaustive_plan(underflow_distribution(), cfg)

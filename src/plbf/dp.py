@@ -13,11 +13,11 @@ Two builders produce these tables:
 
 * :func:`divergence_table` fills the whole table in O(N^2 k) work, in blocks
   of rows: each block computes its slab of the divergence matrix once and
-  fills every column for its rows.  Blocks are sized in bytes, and every
-  block reuses the same two scratch buffers, so scratch memory stays near
-  ``2 * SLAB_BYTES`` until a single row of N float64s outgrows the budget;
-  the budget keeps both buffers in a 2 MiB L2 cache while a block's columns
-  scan them.
+  fills every column for its rows.  Blocks hold as many rows as a byte
+  budget allows, up to the whole table, and reuse the same two scratch
+  buffers, so scratch memory stays within ``2 * SLAB_BYTES`` until a single
+  row of N float64s outgrows the budget; the budget keeps both buffers in a
+  2 MiB L2 cache while a block's columns scan them.
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column, evaluated one recursion
@@ -43,6 +43,7 @@ start past the end and for a NaN sum.  The divergence rule leaves no NaN and
 a table holds none, so a sum is NaN only as +inf plus -inf.  The full
 builder repairs only the candidates whose previous-column entry is
 infinite; the row-maxima builder checks every cell it evaluates.
+``relaxed`` picks its final region with :func:`_scan` of one more row.
 
 Tables are column-major: both builders write a column at a time and read
 the previous one whole, as a contiguous view.
@@ -269,17 +270,16 @@ def _fill_columns(values, parents, a: int, b: int, first, row_maxima) -> None:
         parents[a:b, q] = np.where(col_vals == NEG_INF, -1, col_args + 1)
 
 
-# Most table rows per block of _TableBuilder, and the bytes each of its two
-# scratch buffers may hold: a block has as many rows of the divergence matrix
-# as fit in SLAB_BYTES, at least 1 and at most BLOCK_ROWS.  Both buffers
-# together fit a 2 MiB L2 cache, so each column's scan reads them from there.
-BLOCK_ROWS = 256
+# The bytes each of _TableBuilder's two scratch buffers may hold: a block has
+# as many rows of the divergence matrix as fit, at least 1 and at most the
+# table's n_rows - 1 searched rows.  Both buffers together fit a 2 MiB L2
+# cache, so each column's scan reads them from there.
 SLAB_BYTES = 1 << 20
 
 
 def _block_rows(n_rows: int) -> int:
     """Table rows per block of a table with ``n_rows`` rows."""
-    return max(1, min(BLOCK_ROWS, SLAB_BYTES // (8 * n_rows)))
+    return max(1, min(n_rows - 1, SLAB_BYTES // (8 * n_rows)))
 
 
 class _TableBuilder:

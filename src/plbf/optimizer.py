@@ -46,6 +46,7 @@ from .distribution import SegmentedDistribution
 from .dp import (
     NEG_INF,
     DPTable,
+    _scan,
     _TableBuilder,
     divergence_table,
     divergence_table_monotone,
@@ -494,12 +495,10 @@ def solve_timed(
         dp_seconds = time.perf_counter() - started
         starts = np.arange(k, n + 1)
         if config.algorithm == "relaxed":
-            # the one start whose layout has the most divergence, regardless of
-            # the rate cap; clamping still applies to the rates after
-            with np.errstate(invalid="ignore"):
-                totals = table.values[k - 1 : n, k - 1] + divergences(dist, starts - 1, n)
-            totals[np.isnan(totals)] = NEG_INF  # an unreachable prefix, an infinite tail
-            starts = starts[[np.argmax(totals)]]  # ties go to the smallest start
+            # the start whose layout has the most divergence, whatever the rate
+            # cap makes of it: the scan of the row n the table lacks
+            tail = divergences(dist, np.arange(n), n)[None]
+            starts = _scan(tail, np.empty_like(tail), table.values[:, k - 1])[1] + 1
         bounds = trace_layouts(table, starts, k)
     del table  # no longer needed: the rate solves below peak lower without it
 

@@ -8,6 +8,7 @@ scalar divide-and-conquer loop over single-cell ``value`` calls.
 """
 
 import tracemalloc
+from itertools import count
 from math import inf, isnan
 
 import numpy as np
@@ -26,9 +27,12 @@ from plbf import (
     zipfian_distribution,
 )
 from plbf import dp
-from plbf.dp import BLOCK_ROWS, NEG_INF, _block_rows, _TableBuilder
+from plbf.dp import NEG_INF, _block_rows, _TableBuilder
 
 REFERENCE_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+# the fewest segments whose full table takes three row blocks
+THREE_BLOCKS = next(n for n in count(2) if n - 1 > 2 * _block_rows(n))
 
 
 def reference_table(dist, n_rows, n_cols):
@@ -130,23 +134,28 @@ def sparse_skewed(rng, n, zero_share):
 
 
 @REFERENCE_SETTINGS
-@example(n=2 * BLOCK_ROWS + 2, k=2, seed=5)  # the one-region column alone
+@example(n=THREE_BLOCKS, k=2, seed=5)  # the one-region column alone
+@example(n=300, k=4, seed=7)  # one block of 299 rows
+@example(n=400, k=5, seed=8)  # blocks of 327 and 72 rows
 @given(
-    n=st.integers(2 * BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 40),
+    n=st.integers(THREE_BLOCKS, THREE_BLOCKS + 300),
     k=st.integers(2, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_row_blocks_equal_the_full_matrix_tables(n, k, seed):
-    # N spans at least three row blocks; the per-start tables end on both
+    # a drawn N spans at least three row blocks.  The per-start tables are
+    # the longest of one block and those of more blocks that end on both
     # sides of each of their own block boundaries: their last block holds
     # 1, 2, all but one or all of a block's rows
     rng = np.random.default_rng(seed)
     g, h = sparse_skewed(rng, n, 0.4), sparse_skewed(rng, n, 0.3)
     g[0] = h[-1] = 1e-3  # keep both totals positive
     raw = SegmentedDistribution.from_masses(g, h, n_keys=1000)
-    assert n - 1 > 2 * _block_rows(n)
     starts = {k, n} | {
-        j for j in range(k, n + 1) if (j - 1) % _block_rows(j) in (0, 1, 2, _block_rows(j) - 1)
+        j
+        for j in range(k, n + 1)
+        if _block_rows(j + 1) < j  # table j + 1 takes more than one block
+        and (j - 1) % _block_rows(j) in (0, 1, 2, _block_rows(j) - 1)
     }
     for d in (raw, ensure_positive_masses(raw)):
         table = divergence_table(d, k)
@@ -250,9 +259,19 @@ def test_infinite_prefix_under_underflowed_region_is_unreachable():
     assert table.parents.tobytes() == full.parents.tobytes()
 
 
+def test_block_height_follows_the_byte_budget():
+    # a table the budget holds whole is one block of its n - 1 searched rows;
+    # a larger one gets the rows that fit, down to one
+    assert _block_rows(50) == 49
+    assert _block_rows(300) == 299
+    assert _block_rows(400) == 327  # and a last block of 72 rows
+    assert _block_rows(4000) == dp.SLAB_BYTES // (8 * 4000) == 32
+    assert _block_rows(10**6) == 1
+
+
 def test_table_scratch_stays_within_the_byte_budget():
-    # N=4000: a fixed block height of 256 rows would need 8 MB per scratch
-    # matrix; the budget holds the two buffers to SLAB_BYTES each
+    # N=4000: blocks of 256 rows would need 8 MB per scratch matrix; the
+    # budget holds the two buffers to SLAB_BYTES each
     dist = zipfian_distribution(SyntheticSpec(4000, 100_000, 100_000))
     tracemalloc.start()
     try:

@@ -8,9 +8,11 @@ Runs are derandomized so the suite stays deterministic.
 
 import tempfile
 from functools import cache
+from math import isnan
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from plbf import (
     ValidationError,
     bloom_memory_bits,
     build_filter,
+    divergence,
     divergence_table,
     divergence_table_monotone,
     ensure_positive_masses,
@@ -39,6 +42,7 @@ from plbf import (
     trace_layouts,
     zipfian_distribution,
 )
+from plbf import optimizer
 from plbf.dp import NEG_INF, _TableBuilder
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -194,6 +198,53 @@ def test_planning_table_traces_back_to_the_plan(case):
         start = plan.boundaries[-2] + 1
         layouts = trace_layouts(planning_table(d, config), [start], k)
         assert layouts.tolist() == [list(plan.boundaries)], config
+
+
+def relaxed_start_reference(floored, table, k):
+    """The first start s in k..n with the largest sum of table entry
+    (s-1, k-1) and the divergence of segments s..n, summed as Python floats
+    with NaN read as -inf."""
+    n = floored.n_segments
+    totals = []
+    for s in range(k, n + 1):
+        total = float(table.values[s - 1, k - 1]) + divergence(floored, s, n)
+        totals.append(NEG_INF if isnan(total) else total)
+    return k + totals.index(max(totals))
+
+
+@PROPERTY_SETTINGS
+# every region scores 0: all starts tie, and the smallest wins
+@example(case=dict(g=[1.0] * 8, h=[1.0] * 8, n_regions=3, n_keys=64, target_fpr=0.25))
+# segments 2..5 have no non-key mass left after cancellation: the final
+# regions from starts 3, 4 and 5 score +inf, and 3 wins; start 2's +inf
+# region over its -inf prefix sums to NaN, which must lose
+@example(case=dict(
+    g=[1.0] * 5, h=[1.0, 1e-20, 1e-20, 1e-20, 1e-20], n_regions=3, n_keys=50, target_fpr=0.1,
+))
+@given(case=planning_inputs())
+def test_relaxed_start_matches_a_scalar_reference(case):
+    # relaxed traces the one start the reference picks, ties to the smallest.
+    # Starts below k have a -inf prefix in the table; floored masses leave no
+    # longer prefix unreachable, so the reference's best is never -inf
+    d = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    k = case["n_regions"]
+    config = BuildConfig(
+        "fpr", d.n_segments, k, algorithm="relaxed", target_fpr=case["target_fpr"]
+    )
+    start = relaxed_start_reference(ensure_positive_masses(d), planning_table(d, config), k)
+    traced = []
+
+    def spy(table, starts, n_regions):
+        traced.append(np.asarray(starts).tolist())
+        return trace_layouts(table, starts, n_regions)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "trace_layouts", spy)
+        try:
+            solve(d, config)
+        except InfeasibleError:
+            pass
+    assert traced == [[start]]
 
 
 def mostly_inside(lo, hi):

@@ -75,17 +75,13 @@ def _comma_list(text: str, flag: str, convert=int) -> list:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
-def _budget(args) -> tuple[float | None, float | None]:
-    """Split the two budget flags by framework, rejecting the mismatched one."""
-    if args.framework == "fpr":
-        if args.memory_bits is not None:
-            raise ValidationError("--memory-bits only applies to --framework memory")
-        return (args.target_fpr if args.target_fpr is not None else 0.01), None
-    if args.target_fpr is not None:
-        raise ValidationError("--target-fpr only applies to --framework fpr")
-    if args.memory_bits is None:
-        raise ValidationError("--framework memory needs --memory-bits")
-    return None, args.memory_bits
+def _config(args, n_segments, n_regions, algorithm) -> BuildConfig:
+    """The config of one planner run under the budget flags; ``--target-fpr`` defaults to 0.01."""
+    target_fpr = args.target_fpr
+    if target_fpr is None and args.framework == "fpr":
+        target_fpr = 0.01
+    return BuildConfig(args.framework, n_segments, n_regions, algorithm,
+                       target_fpr=target_fpr, memory_bits=args.memory_bits)
 
 
 def cmd_gen(args) -> int:
@@ -108,15 +104,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
-    target_fpr, memory_bits = _budget(args)
-    config = BuildConfig(
-        framework=args.framework,
-        n_segments=args.segments,
-        n_regions=args.regions,
-        algorithm=args.algorithm,
-        target_fpr=target_fpr,
-        memory_bits=memory_bits,
-    )
+    config = _config(args, args.segments, args.regions, args.algorithm)
     columns = read_records_csv(args.data)
     dist = segment_scores(columns, args.segments)
     plan, stats = solve_timed(dist, config)
@@ -188,21 +176,13 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args.seed)
-    target_fpr, memory_bits = _budget(args)
     if args.repeat < 3:
         raise ValidationError("--repeat must be at least 3 for a stable median")
     algorithms = _comma_list(args.algorithms, "--algorithms", str)
     segment_counts = _comma_list(args.segments, "--segments")
     region_counts = _comma_list(args.regions, "--regions")
     configs = [
-        BuildConfig(
-            framework=args.framework,
-            n_segments=n,
-            n_regions=k,
-            algorithm=algo,
-            target_fpr=target_fpr,
-            memory_bits=memory_bits,
-        )
+        _config(args, n, k, algo)
         for algo in algorithms
         for n in segment_counts
         for k in region_counts
@@ -315,10 +295,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,9 +62,10 @@ class ScoreColumns:
     """Scored elements as three parallel columns, in input order.
 
     ``ids`` holds the opaque ids, ``scores`` their float64 scores and
-    ``is_key`` their bool labels.  The arrays are read-only.  Iterating
-    yields one :class:`ScoreRecord` per element; compare columns through
-    ``list(columns)``.
+    ``is_key`` their bool labels.  The arrays are read-only, and every
+    score lies in [0, 1]: construction refuses any other score, NaN too.
+    Iterating yields one :class:`ScoreRecord` per element; compare columns
+    through ``list(columns)``.
     """
 
     ids: list
@@ -77,7 +78,14 @@ class ScoreColumns:
             raise ValidationError("scores must be a float64 array with one entry per id")
         if self.is_key.dtype != np.bool_ or self.is_key.shape != (n,):
             raise ValidationError("is_key must be a bool array with one entry per id")
-        self.scores.setflags(write=False)
+        scores = self.scores
+        # min and max propagate NaN, and unlike a mask they allocate nothing
+        if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=1.0) <= 1.0):
+            i = int((~((scores >= 0.0) & (scores <= 1.0))).argmax())
+            raise ValidationError(
+                f"record {self.ids[i]!r} has score {float(scores[i])!r} outside [0, 1]"
+            )
+        scores.setflags(write=False)
         self.is_key.setflags(write=False)
 
     @classmethod
@@ -204,22 +212,15 @@ def segment_scores(records, n_segments: int) -> SegmentedDistribution:
     """Bin scored elements into ``n_segments`` equal-width histograms.
 
     ``records`` is :class:`ScoreColumns` or an iterable of records.  Raises
-    a validation error for scores outside [0, 1] (naming the first such
-    element), and distinct errors when the key side or the non-key side is
-    empty.  The bins are :func:`segment_index`'s: truncating
-    ``score * n_segments`` as an int64 is ``int()`` on [0, 1], and 1 folds
-    into the last bin.
+    distinct validation errors when the key side or the non-key side is
+    empty.  The bins are :func:`segment_index`'s: truncating ``score *
+    n_segments`` as an int64 is ``int()`` on [0, 1], and 1 folds into the
+    last bin.
     """
     if n_segments < 2:
         raise ValidationError("n_segments must be at least 2")
     columns = ScoreColumns.from_records(records)
     scores, is_key = columns.scores, columns.is_key
-    outside = ~((scores >= 0.0) & (scores <= 1.0))  # NaN is outside too
-    if outside.any():
-        i = int(outside.argmax())
-        raise ValidationError(
-            f"record {columns.ids[i]!r} has score {float(scores[i])!r} outside [0, 1]"
-        )
     bins = np.minimum((scores * n_segments).astype(np.int64), n_segments - 1)
     counts = np.bincount(bins + n_segments * is_key, minlength=2 * n_segments)
     nonkey_counts, key_counts = counts[:n_segments], counts[n_segments:]
@@ -414,11 +415,14 @@ def read_records_csv(path) -> ScoreColumns:
     except ValueError:
         _raise_first_bad_row(path)
     del score_texts  # the score strings outweigh the parsed array; free them first
-    if not ((scores >= 0.0) & (scores <= 1.0)).all() or not set(labels) <= {"0", "1"}:
+    if not set(labels) <= {"0", "1"}:
         _raise_first_bad_row(path)
     # each label is now one ASCII character, so the joined bytes line up with the rows
     is_key = np.frombuffer("".join(labels).encode("ascii"), np.uint8) == ord("1")
-    return ScoreColumns(ids, scores, is_key)
+    try:
+        return ScoreColumns(ids, scores, is_key)
+    except ValidationError:  # a score outside [0, 1]
+        _raise_first_bad_row(path)
 
 
 @contextmanager

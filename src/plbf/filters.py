@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from array import array
+from itertools import compress
 
 import numpy as np
 
@@ -173,28 +174,20 @@ def build_filter(records, plan: RegionPlan, seed: int = 0) -> PlbfFilter:
 
     The region of every key comes from one lookup of the region table with
     ``(scores * n_segments).astype(int64)``, which is ``int(score *
-    n_segments)`` on [0, 1].  Each region's filter is then sized from the
-    keys that fall in it and filled with them in their input order.  Every
-    element must be a key; non-keys only ever inform the plan.
+    n_segments)`` on [0, 1], where columns keep their scores.  Each region's
+    filter is then sized from the keys that fall in it and filled with them
+    in their input order.  Every element must be a key; non-keys only ever
+    inform the plan.
     """
     seed = check_seed(seed)
     columns = ScoreColumns.from_records(records)
-    scores = columns.scores
-    bad = ~columns.is_key | ~((scores >= 0.0) & (scores <= 1.0))
-    if bad.any():
-        i = int(bad.argmax())
-        element_id = columns.ids[i]
-        if not columns.is_key[i]:
-            raise ValidationError(
-                f"build_filter expects keys only, got non-key {element_id!r}"
-            )
-        raise ValidationError(
-            f"score must lie in [0, 1], got {float(scores[i])!r} for {element_id!r}"
-        )
-    regions = np.asarray(_region_table(plan))[(scores * plan.n_segments).astype(np.int64)]
+    if not columns.is_key.all():
+        non_key = columns.ids[int(columns.is_key.argmin())]
+        raise ValidationError(f"build_filter expects keys only, got non-key {non_key!r}")
+    regions = np.asarray(_region_table(plan))[(columns.scores * plan.n_segments).astype(np.int64)]
     filters: list[BloomFilter | None] = []
     for r, rate in enumerate(plan.fprs):
-        ids = columns.subset(regions == r).ids if rate < 1.0 else []
+        ids = list(compress(columns.ids, (regions == r).tolist())) if rate < 1.0 else []
         if not ids:
             filters.append(None)
             continue

@@ -34,10 +34,12 @@ a one-layout call gives it, to the bit.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from math import inf, log2
+from math import inf, log2, nan
+from numbers import Real
 
 import numpy as np
 
@@ -133,12 +135,21 @@ class RegionPlan:
         return self.boundaries[-1]
 
 
+def _as_float(value) -> float:
+    """A real number as a float, +-inf beyond float's range; anything else NaN."""
+    try:
+        return float(value) if isinstance(value, Real) else nan
+    except OverflowError:  # an int or fraction too large for a float
+        return inf if value > 0 else -inf
+
+
 @dataclass(frozen=True)
 class BuildConfig:
     """Planner configuration.
 
-    Exactly one budget applies: ``target_fpr`` in (0, 1) under the ``fpr``
-    framework, ``memory_bits`` > 0 under ``memory``.
+    The counts are integers, stored as ints (numpy integers pass).  Exactly
+    one budget is given, a real number stored as a float: ``target_fpr`` in
+    (0, 1) under the ``fpr`` framework, ``memory_bits`` > 0 under ``memory``.
     """
 
     framework: str
@@ -157,6 +168,12 @@ class BuildConfig:
             raise ValidationError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
+        for name in ("n_segments", "n_regions"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_regions < 2:
             raise ValidationError("n_regions must be at least 2")
         if self.n_segments <= self.n_regions:
@@ -169,10 +186,16 @@ class BuildConfig:
                 f"n_segments must be at most {MAX_SEGMENTS}, got {self.n_segments}"
             )
         if self.framework == "fpr":
-            if self.target_fpr is None or not (0.0 < self.target_fpr < 1.0):
+            if self.memory_bits is not None:
+                raise ValidationError("memory_bits only applies to the memory framework")
+            object.__setattr__(self, "target_fpr", _as_float(self.target_fpr))
+            if not (0.0 < self.target_fpr < 1.0):
                 raise ValidationError("fpr framework needs target_fpr in (0, 1)")
         else:
-            if self.memory_bits is None or not (self.memory_bits > 0):
+            if self.target_fpr is not None:
+                raise ValidationError("target_fpr only applies to the fpr framework")
+            object.__setattr__(self, "memory_bits", _as_float(self.memory_bits))
+            if not (self.memory_bits > 0):
                 raise ValidationError("memory framework needs memory_bits > 0")
 
     def require_matching(self, dist: SegmentedDistribution) -> None:

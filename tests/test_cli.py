@@ -212,19 +212,22 @@ class TestBuild:
             "--segments", "80", "--regions", "4", "--memory-bits", "5000",
         )
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: memory_bits only applies to the memory framework\n"
+        )
         rc = run(
             "build", "--data", str(data), "--out", str(tmp_path / "x.plbf"),
             "--segments", "80", "--regions", "4", "--framework", "memory",
         )
         assert rc == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: memory framework needs memory_bits > 0\n"
         rc = run(
             "build", "--data", str(data), "--out", str(tmp_path / "x.plbf"),
             "--segments", "80", "--regions", "4", "--framework", "memory",
             "--memory-bits", "5000", "--target-fpr", "0.01",
         )
         assert rc == 1
-        assert capsys.readouterr().err == "error: --target-fpr only applies to --framework fpr\n"
+        assert capsys.readouterr().err == "error: target_fpr only applies to the fpr framework\n"
 
     def test_memory_framework_build(self, tmp_path):
         data = gen_dataset(tmp_path / "data.csv")

@@ -14,6 +14,7 @@ stays deterministic.
 import csv
 import io
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -189,6 +190,34 @@ class TestScoreColumns:
     def test_rejects_mismatched_columns(self, scores, is_key):
         with pytest.raises(ValidationError):
             ScoreColumns(["a"], scores, is_key)
+
+    @pytest.mark.parametrize("score", [math.nan, -0.0001, 1.0000001, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [
+        "ScoreColumns", "from_records", "write_records_csv", "build_filter", "measure_fpr",
+    ])
+    def test_every_entry_names_the_first_record_out_of_range(self, tmp_path, entry, score):
+        # build_filter takes keys only, measure_fpr non-keys only
+        is_key = entry == "build_filter"
+        records = [ScoreRecord("a", 0.5, is_key), ScoreRecord("bad", score, is_key),
+                   ScoreRecord("worse", 2.0, is_key)]
+        plan = RegionPlan(
+            n_regions=2, boundaries=(0, 2, 4), fprs=(0.02, 0.5), key_mass=(0.5, 0.5),
+            nonkey_mass=(0.5, 0.5), objective=1.0, framework="fpr", algorithm="fast",
+        )
+        path = tmp_path / "records.csv"
+        call = {
+            "ScoreColumns": lambda: ScoreColumns(
+                [r.element_id for r in records], np.array([r.score for r in records]),
+                np.full(len(records), is_key)),
+            "from_records": lambda: ScoreColumns.from_records(iter(records)),
+            "write_records_csv": lambda: write_records_csv(path, iter(records)),
+            "build_filter": lambda: build_filter(iter(records), plan),
+            "measure_fpr": lambda: PlbfFilter(plan, (None, None)).measure_fpr(iter(records)),
+        }[entry]
+        message = f"record 'bad' has score {score!r} outside [0, 1]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
+        assert not path.exists()
 
 
 @PROPERTY_SETTINGS

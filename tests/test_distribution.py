@@ -180,7 +180,7 @@ class TestSegmentScores:
         with pytest.raises(ValidationError):
             segment_scores(bad, 4)
 
-    @pytest.mark.parametrize("score", [float("nan"), -0.0001, 1.0000001, float("inf")])
+    @pytest.mark.parametrize("score", [math.nan, -0.0001, 1.0000001, math.inf, -math.inf])
     def test_names_the_first_record_out_of_range(self, score):
         records = [ScoreRecord("a", 0.5, True), ScoreRecord("bad", score, False),
                    ScoreRecord("worse", 2.0, False)]

@@ -223,6 +223,12 @@ class TestSpaceAndRate:
         batch = bloom_memory_bits(np.array([[1.0]]), np.array([[rate]]), 1.0)
         assert batch.tolist() == [-math.log2(rate)]
 
+    def test_a_zero_rate_with_keys_needs_infinite_memory(self):
+        # log2(0) is -inf in _log2, where math.log2 would raise
+        assert bloom_memory_bits([0.5, 0.5], [0.0, 0.5], 10.0) == math.inf
+        batch = bloom_memory_bits(np.array([[0.5, 0.5]]), np.array([[0.0, 0.5]]), 10.0)
+        assert batch.tolist() == [math.inf]
+
     def test_expected_rate(self):
         assert expected_fpr([0.25, 0.75], [1.0, 1.0]) == 1.0
         assert expected_fpr([0.5, 0.5], [0.01, 0.03]) == pytest.approx(0.02)
@@ -259,6 +265,13 @@ class TestBuildConfig:
             BuildConfig(framework="memory", n_segments=10, n_regions=3)
         with pytest.raises(ValidationError):
             BuildConfig(framework="memory", n_segments=10, n_regions=3, memory_bits=0.0)
+
+    def test_budget_beyond_float_range_reads_as_infinite(self):
+        # float(10**400) raises OverflowError
+        cfg = BuildConfig(framework="memory", n_segments=10, n_regions=3, memory_bits=10**400)
+        assert cfg.memory_bits == math.inf
+        with pytest.raises(ValidationError, match=r"target_fpr in \(0, 1\)"):
+            BuildConfig(framework="fpr", n_segments=10, n_regions=3, target_fpr=-(10**400))
 
     def test_scaled_keys_follow_key_count(self):
         d = SegmentedDistribution.from_masses([1, 1, 1, 1], [1, 1, 1, 1], n_keys=100)

@@ -6,7 +6,9 @@ floored masses and prefix-sum cancellation used to crash the planners.
 Runs are derandomized so the suite stays deterministic.
 """
 
+import dataclasses
 import tempfile
+from fractions import Fraction
 from functools import cache
 from math import isnan
 from pathlib import Path
@@ -70,6 +72,11 @@ def planning_inputs(draw, max_segments=40):
         "n_keys": draw(st.integers(1, 10**6)),
         "target_fpr": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         "memory_bits": draw(st.floats(0.0, exclude_min=True)),
+        "spelling": {
+            "n_segments": draw(st.sampled_from(list(COUNT_SPELLINGS))),
+            "n_regions": draw(st.sampled_from(list(COUNT_SPELLINGS))),
+            "budget": draw(st.sampled_from(list(BUDGET_SPELLINGS))),
+        },
     }
 
 
@@ -80,17 +87,63 @@ def configs(case, n_segments):
         yield BuildConfig("memory", memory_bits=case["memory_bits"], **base)
 
 
+# ways to write a count or a budget; BuildConfig takes the integer counts
+# and the real budgets and stores them as ints and floats
+COUNT_SPELLINGS = {
+    "int": int,
+    "numpy int64": np.int64,
+    "numpy uint16": np.uint16,
+    "integral float": float,
+    "fractional float": lambda n: n + 0.5,
+    "bool": lambda n: n % 2 == 1,
+    "string": str,
+}
+INTEGER_SPELLINGS = ("int", "numpy int64", "numpy uint16")
+BUDGET_SPELLINGS = ("float", "fraction", "string", "both budgets")
+REAL_SPELLINGS = ("float", "fraction")
+
+
+def spelled(config, case):
+    """``config``'s fields with its counts and budget written as ``case`` draws them."""
+    spelling = case["spelling"]
+    fields = dataclasses.asdict(config)
+    for name in ("n_segments", "n_regions"):
+        fields[name] = COUNT_SPELLINGS[spelling[name]](fields[name])
+    budget = "target_fpr" if config.framework == "fpr" else "memory_bits"
+    if spelling["budget"] == "fraction":
+        fields[budget] = Fraction(fields[budget])
+    elif spelling["budget"] == "string":
+        fields[budget] = str(fields[budget])
+    elif spelling["budget"] == "both budgets":
+        fields.update(target_fpr=case["target_fpr"], memory_bits=case["memory_bits"])
+    return fields
+
+
 @PROPERTY_SETTINGS
 @given(case=planning_inputs())
 def test_accepted_input_gets_a_plan_or_infeasible_error(case):
+    # every spelling is refused when the config is built, or plans as the
+    # plain config does: no other exception escapes
+    spelling = case["spelling"]
+    accepted = (spelling["n_segments"] in INTEGER_SPELLINGS
+                and spelling["n_regions"] in INTEGER_SPELLINGS
+                and spelling["budget"] in REAL_SPELLINGS)
     d = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
-    for config in configs(case, d.n_segments):
+    for plain in configs(case, d.n_segments):
+        try:
+            config = BuildConfig(**spelled(plain, case))
+        except ValidationError:
+            assert not accepted, spelling
+            config = plain
         try:
             plan = solve(d, config)
         except InfeasibleError:
-            continue
-        assert plan.n_regions == config.n_regions
-        assert plan.n_segments == d.n_segments
+            plan = None
+        # the reprs match only if the counts are stored as ints, the budget as a float
+        assert repr(config) == repr(plain), spelling
+        if plan is not None:
+            assert plan.n_regions == config.n_regions
+            assert plan.n_segments == d.n_segments
 
 
 @PROPERTY_SETTINGS

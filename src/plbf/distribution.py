@@ -21,6 +21,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -250,7 +251,8 @@ class SyntheticSpec:
     Key mass per segment is proportional to rank**(-zipf_exponent), arranged
     non-decreasing across segments; non-key mass mirrors it non-increasing.
     ``n_swaps`` then exchanges adjacent segments at uniformly drawn positions,
-    which dials in how far the artifact sits from the ideal shape.
+    which dials in how far the artifact sits from the ideal shape.  The
+    counts are integers, stored as ints (numpy integers pass).
     """
 
     n_segments: int
@@ -261,6 +263,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_segments", "n_keys", "n_nonkeys", "n_swaps"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_segments < 2:
             raise ValidationError("n_segments must be at least 2")
         if self.n_keys < 1 or self.n_nonkeys < 1:

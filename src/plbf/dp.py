@@ -428,11 +428,21 @@ def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
 
 
 def write_table_csv(table: DPTable, path) -> None:
-    """Debug dump: one row per table cell with its value and parent."""
+    """Debug dump: one row per table cell with its value and parent.
+
+    Cells are formatted from whole columns, about 2**16 at a time, and each
+    value is written as its ``repr``.
+    """
+    k = table.n_cols
+    chunk = max(1, (1 << 16) // max(k, 1))  # table rows per write
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("prefix,regions,value,parent\n")
-        for p in range(table.n_rows):
-            for q in range(table.n_cols):
-                fh.write(
-                    f"{p},{q},{float(table.values[p, q])!r},{int(table.parents[p, q])}\n"
-                )
+        for start in range(0, table.n_rows, chunk):
+            stop = min(start + chunk, table.n_rows)
+            fh.write("".join(map(
+                "{},{},{},{}\n".format,
+                np.repeat(np.arange(start, stop), k).tolist(),
+                np.tile(np.arange(k), stop - start).tolist(),
+                map(repr, table.values[start:stop].ravel().tolist()),
+                table.parents[start:stop].ravel().tolist(),
+            )))

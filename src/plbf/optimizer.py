@@ -26,9 +26,13 @@ false-positive rate (``memory`` framework).  A layout the closed form finds
 infeasible gets NaN rates and is skipped; only when every layout is
 infeasible does the solve raise, with the first layout's own error.  The
 lowest score wins, and ties go to the smallest final-region start, so
-results are deterministic.  The batch sums each row left to right and takes
-``math.log2`` and ``2.0 **`` entry by entry, so every layout gets the rates
-a one-layout call gives it, to the bit.
+results are deterministic.  The sweep first ranks every layout with numpy's
+``log2`` and ``exp2``, which are fast but can differ from ``math.log2`` and
+``2.0 **`` in the last bit.  It then settles, with the exact solve, only the
+layouts whose ranked score lies within the proven ``RANK_RTOL`` bound of the
+best.  The exact solve sums each row left to right and takes ``math.log2``
+and ``2.0 **`` entry by entry, so the plan holds the rates and objective a
+one-layout call gives the winner, to the bit, whatever numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -79,6 +83,28 @@ MAX_SEGMENTS = 1 << 24
 # mass ensure_positive_masses gives every empty segment of the largest plan.
 # A constant, so a file claiming more segments cannot widen it.
 MASS_SUM_TOLERANCE = 1e-6 + MAX_SEGMENTS * MASS_FLOOR
+
+# How far a ranked score (np.log2 and np.exp2 in place of math.log2 and
+# 2.0 ** e) may lie from the exact score S of a k-region layout: at most
+# k * RANK_RTOL * S + RANK_ATOL.  np.log2 is within 1 ULP of math.log2, and
+# np.exp2 within 2.2e-16 of pow, relative; that was measured over 4e6 doubles,
+# subnormals included, with numpy's AVX-512 loops on and off.
+# * ``fpr``: the rates hold no log or pow, so the exact ones are ranked.  The
+#   score sums k nonnegative terms c|S| G_i log2(1/f_i), each within two
+#   ULPs, so the two sums lie within (k + 1) * 2.2e-16 * S of each other.
+# * ``memory``: each term G_i log2(G_i / H_i) of K is at most 1074 G_i in
+#   size.  The free G_i sum to the head room that beta divides by when the
+#   masses sum to 1; the ranked rates are NaN where they sum to more than
+#   twice it, and where 2**-beta would be subnormal, which loses precision.
+#   So beta, at most 1023 in size, moves by at most (k + 3) * 4.8e-13.  Each
+#   free rate moves by ln 2 times that, relative, and so does the score,
+#   sum H_i f_i.  A rate that crosses the clamp at 1 moves the result
+#   continuously: clamping a rate of exactly 1 leaves beta as it was.
+# The worst case, (k + 3) * 3.4e-13 * S, stays over 1,000 times below the bound.
+# Products that underflow to subnormals err by up to 2**-1074 per region
+# beyond that, which RANK_ATOL covers for every allowed k.
+RANK_RTOL = 1e-9
+RANK_ATOL = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -361,6 +387,39 @@ def optimal_fprs_for_fpr(
     return _one_or_batch(fprs, batch, error)
 
 
+def _pow2(exponents: np.ndarray) -> np.ndarray:
+    """``2.0 ** e`` of every entry: ``np.exp2`` can differ from it in the last bit."""
+    powers = map(pow, repeat(2.0), memoryview(exponents))
+    return np.fromiter(powers, np.float64, len(exponents))
+
+
+def _memory_rates(g, h, memory_bits: float, scaled_keys: float, log2, pow2):
+    """The ``memory`` framework's rates, clamped regions and their key mass.
+
+    ``log2`` and ``pow2`` take an array and return it mapped entry by entry.
+    """
+    with np.errstate(over="ignore"):
+        ratio = g / h
+    # a region whose G/H overflowed would make beta infinite for every other
+    # region, so it starts clamped
+    overflowed = ratio == inf
+    # a ratio that underflowed to 0 has no log2; 2**-1074 is the least positive one
+    region_div = g * log2(np.maximum(ratio, 2.0**-1074, out=ratio))
+    del ratio  # a large batch's working set stays smaller without it
+
+    def closed_form(rows, free, head_room, _h_clamped):
+        k_sum = _row_sums(region_div[rows], free)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
+            # 2**1023 is the largest finite power of two: capping the exponent
+            # turns a beta below -1023 into rates far above 1, which clamp
+            exponents = np.minimum(-beta, 1023.0)
+        return pow2(exponents), 1.0, np.ones(len(rows), bool)
+
+    fprs, clamped, g_clamped, _ = _clamped_rates(g, h, closed_form, overflowed)
+    return fprs, clamped, g_clamped
+
+
 def optimal_fprs_for_memory(
     key_mass, nonkey_mass, memory_bits: float, scaled_keys: float
 ) -> list[float] | np.ndarray:
@@ -382,26 +441,7 @@ def optimal_fprs_for_memory(
         raise ValidationError("memory_bits must be nonnegative")
     if not (scaled_keys > 0):
         raise ValidationError("scaled_keys must be positive")
-    with np.errstate(over="ignore"):
-        ratio = g / h
-    # a region whose G/H overflowed would make beta infinite for every other
-    # region, so it starts clamped
-    overflowed = ratio == inf
-    # a ratio that underflowed to 0 has no log2; 2**-1074 is the least positive one
-    region_div = g * _log2(np.maximum(ratio, 2.0**-1074, out=ratio))
-    del ratio  # a large batch's working set stays smaller without it
-
-    def closed_form(rows, free, head_room, _h_clamped):
-        k_sum = _row_sums(region_div[rows], free)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
-            # 2**1023 is the largest finite power of two: capping the exponent
-            # turns a beta below -1023 into rates far above 1, which clamp
-            exponents = np.minimum(-beta, 1023.0)
-        powers = map(pow, repeat(2.0), memoryview(exponents))  # 2.0 ** e, entry by entry
-        return np.fromiter(powers, np.float64, len(exponents)), 1.0, np.ones(len(rows), bool)
-
-    fprs, _, g_clamped, _ = _clamped_rates(g, h, closed_form, overflowed)
+    fprs, _, g_clamped = _memory_rates(g, h, memory_bits, scaled_keys, _log2, _pow2)
     return _one_or_batch(fprs, batch, lambda: InfeasibleError(
         f"cannot spend {memory_bits:.6g} bits: clamped regions "
         f"already carry key mass {g_clamped[0]:.6g}"
@@ -414,6 +454,10 @@ def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
     One layout's masses and rates give a float; a (layouts x regions) batch
     gives one total per row, NaN where the row's rates are NaN.
     """
+    return _memory_bits(key_mass, fprs, scaled_keys, _log2)
+
+
+def _memory_bits(key_mass, fprs, scaled_keys: float, log2) -> float | np.ndarray:
     f = np.asarray(fprs, dtype=np.float64)
     g_cols, f_cols = np.broadcast_arrays(
         np.atleast_2d(np.asarray(key_mass, dtype=np.float64)), np.atleast_2d(f)
@@ -423,7 +467,7 @@ def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
     # temporaries of its own size
     for g, fi in zip(g_cols.T, f_cols.T):
         stores = (fi < 1.0) & (g > 0.0) | np.isnan(fi)
-        bits = _log2(np.where(stores, fi, 1.0))
+        bits = log2(np.where(stores, fi, 1.0))
         np.negative(bits, out=bits)
         bits *= scaled_keys * g
         total += np.where(stores, bits, 0.0)
@@ -447,6 +491,69 @@ def _rates_and_score(config, scaled, key_mass, nonkey_mass):
         return fprs, bloom_memory_bits(key_mass, fprs, scaled)
     fprs = optimal_fprs_for_memory(key_mass, nonkey_mass, config.memory_bits, scaled)
     return fprs, expected_fpr(nonkey_mass, fprs)
+
+
+def _ranked_pow2(exponents: np.ndarray) -> np.ndarray:
+    """``np.exp2`` of every entry, NaN where 2**e is subnormal and so imprecise."""
+    powers = np.exp2(exponents)
+    powers[exponents < -1022] = nan
+    return powers
+
+
+def _ranked_scores(config, scaled, key_mass, nonkey_mass):
+    """Each layout's score with numpy's log2 and exp2, and the exact solve.
+
+    A ranked score lies within the RANK_ bounds of the exact one, or is NaN.
+    The exact solve takes an index array of layouts and returns their rates
+    and scores.
+    """
+    if config.framework == "fpr":
+        # these rates hold no log or pow, so they are the exact ones already
+        fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
+
+        def exact(rows):
+            return fprs[rows], bloom_memory_bits(key_mass[rows], fprs[rows], scaled)
+
+        return _memory_bits(key_mass, fprs, scaled, np.log2), exact
+    fprs, clamped, g_clamped = _memory_rates(
+        key_mass, nonkey_mass, config.memory_bits, scaled, np.log2, _ranked_pow2
+    )
+    # RANK_RTOL's bound holds while the free key mass is at most twice the head room
+    fprs[_row_sums(key_mass, ~clamped) > 2.0 * (1.0 - g_clamped)] = nan
+
+    def exact(rows):
+        return _rates_and_score(config, scaled, key_mass[rows], nonkey_mass[rows])
+
+    return expected_fpr(nonkey_mass, fprs), exact
+
+
+def _settled_winner(config, scaled, key_mass, nonkey_mass):
+    """The batch's layout of lowest exact score: its row, rates and score, or None.
+
+    Every layout is ranked by :func:`_ranked_scores`; only the ones that can
+    still win are settled, by the exact solve.  First those within the
+    RANK_ bounds of the lowest ranked score, or ranked NaN; then any others
+    within the bounds of the best exact score found, which is every other
+    layout when none settled so far is feasible.  Ties go to the smallest
+    row, and None means that no layout is feasible.
+    """
+    ranked, exact = _ranked_scores(config, scaled, key_mass, nonkey_mass)
+    slack = 1.0 + 2.0 * config.n_regions * RANK_RTOL
+    pending = np.ones(len(ranked), dtype=bool)
+    bound = np.min(ranked, initial=inf, where=~np.isnan(ranked))
+    best = None
+    while True:
+        rows = np.flatnonzero(pending & ~(ranked > bound * slack + 2.0 * RANK_ATOL))
+        if not rows.size:
+            return best
+        pending[rows] = False
+        fprs, scores = exact(rows)
+        feasible = np.flatnonzero(~np.isnan(scores))
+        if feasible.size:
+            i = feasible[np.argmin(scores[feasible])]
+            if best is None or (scores[i], rows[i]) < (best[2], best[0]):
+                best = rows[i], fprs[i], scores[i]
+        bound = inf if best is None else best[2]
 
 
 def solve(dist: SegmentedDistribution, config: BuildConfig) -> RegionPlan:
@@ -532,21 +639,20 @@ def solve_timed(
     bounds = bounds[solvable]
     key_mass = key_mass[solvable]
     nonkey_mass = nonkey_mass[solvable]
-    fprs, scores = _rates_and_score(config, scaled, key_mass, nonkey_mass)
-    feasible = np.flatnonzero(~np.isnan(scores))
-    if not feasible.size:
+    winner = _settled_winner(config, scaled, key_mass, nonkey_mass)
+    if winner is None:
         if len(bounds):
             # every layout is infeasible: the first one's own error says why
             _rates_and_score(config, scaled, key_mass[0], nonkey_mass[0])
         raise InfeasibleError("no feasible region layout")
-    best = feasible[np.argmin(scores[feasible])]  # ties go to the smallest start
+    best, fprs, score = winner  # ties go to the smallest start
     plan = RegionPlan(
         n_regions=k,
         boundaries=tuple(bounds[best].tolist()),
-        fprs=tuple(fprs[best].tolist()),
+        fprs=tuple(fprs.tolist()),
         key_mass=tuple(key_mass[best].tolist()),
         nonkey_mass=tuple(nonkey_mass[best].tolist()),
-        objective=float(scores[best]),
+        objective=float(score),
         framework=config.framework,
         algorithm=config.algorithm,
     )

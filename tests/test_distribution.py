@@ -417,3 +417,16 @@ class TestSyntheticSpecValidation:
     def test_rejects_negative_swaps(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(10, 10, 10, n_swaps=-1)
+
+    @pytest.mark.parametrize("field", ["n_segments", "n_keys", "n_nonkeys", "n_swaps"])
+    @pytest.mark.parametrize("value", ["50", 50.5, 50.0, None])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        counts = dict(n_segments=50, n_keys=10, n_nonkeys=10, n_swaps=0)
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SyntheticSpec(**{**counts, field: value})
+
+    def test_takes_numpy_integer_counts_as_ints(self):
+        spec = SyntheticSpec(np.int64(50), np.int32(10), np.uint8(10), n_swaps=np.int64(3))
+        assert spec == SyntheticSpec(50, 10, 10, n_swaps=3)
+        assert all(type(getattr(spec, f)) is int
+                   for f in ("n_segments", "n_keys", "n_nonkeys", "n_swaps"))

@@ -598,6 +598,101 @@ class TestSolve:
                 solve(d, cfg)
 
 
+class TestRankThenSettle:
+    """The sweep ranks every layout with numpy's log2 and exp2, then settles
+    the ones that can still win with the exact rate solve."""
+
+    CONFIGS = (
+        BuildConfig("fpr", 8, 3, target_fpr=0.01),
+        BuildConfig("memory", 8, 3, memory_bits=300.0),
+    )
+    SCALED = 100 * LOG2_E
+    # three layouts: the middle one scores best in both frameworks
+    KEY_MASS = np.array([[0.1, 0.3, 0.6], [0.05, 0.15, 0.8], [0.3, 0.3, 0.4]])
+    NONKEY_MASS = np.array([[0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [0.4, 0.3, 0.3]])
+
+    def exact(self, config, key_mass, nonkey_mass):
+        return optimizer._rates_and_score(config, self.SCALED, key_mass, nonkey_mass)
+
+    def settle(self, config, key_mass, nonkey_mass):
+        return optimizer._settled_winner(config, self.SCALED, key_mass, nonkey_mass)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["fpr", "memory"])
+    def test_the_winner_has_the_exact_rates_and_score(self, config):
+        fprs, scores = self.exact(config, self.KEY_MASS, self.NONKEY_MASS)
+        row, best_fprs, score = self.settle(config, self.KEY_MASS, self.NONKEY_MASS)
+        assert row == 1 == np.argmin(scores)
+        assert best_fprs.tobytes() == fprs[1].tobytes()
+        assert score == scores[1]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["fpr", "memory"])
+    def test_layouts_tied_on_exact_score_go_to_the_smallest_row(self, config):
+        order = [0, 2, 1, 1, 2, 1]  # the best layout at rows 2, 3 and 5
+        row, _, _ = self.settle(config, self.KEY_MASS[order], self.NONKEY_MASS[order])
+        assert row == 2
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["fpr", "memory"])
+    def test_a_later_round_finds_what_a_wrong_rank_hid(self, config, monkeypatch):
+        # ranks that put the worst layout far below the rest: its exact score
+        # then admits the others, and the true winner is found
+        _, scores = self.exact(config, self.KEY_MASS, self.NONKEY_MASS)
+        ranks = scores.copy()
+        ranks[np.argmax(scores)] = scores.min() / 4
+        ranked_scores = optimizer._ranked_scores
+        monkeypatch.setattr(
+            optimizer, "_ranked_scores", lambda *args: (ranks, ranked_scores(*args)[1])
+        )
+        assert self.settle(config, self.KEY_MASS, self.NONKEY_MASS)[0] == 1
+
+    def test_a_ranked_lowest_layout_that_is_infeasible_does_not_end_the_sweep(
+        self, monkeypatch
+    ):
+        # the first layout clamps all its key mass and cannot meet the target
+        config = BuildConfig("fpr", 8, 2, target_fpr=0.01)
+        key_mass = np.array([[1.0, 1e-12], [0.5, 0.5], [0.25, 0.75]])
+        nonkey_mass = np.array([[1e-12, 1.0], [0.5, 0.5], [0.75, 0.25]])
+        _, scores = self.exact(config, key_mass, nonkey_mass)
+        assert np.isnan(scores[0]) and scores[2] < scores[1]
+        ranks = np.array([1.0, 2.0, 3.0])
+        ranked_scores = optimizer._ranked_scores
+        monkeypatch.setattr(
+            optimizer, "_ranked_scores", lambda *args: (ranks, ranked_scores(*args)[1])
+        )
+        assert self.settle(config, key_mass, nonkey_mass)[0] == 2
+
+    def test_a_layout_ranked_nan_but_exactly_feasible_is_settled(self):
+        # at 3000 bits per key 2**-beta is subnormal, so no layout gets a rank
+        d = SegmentedDistribution.from_masses(range(1, 9), range(8, 0, -1), n_keys=100)
+        config = BuildConfig("memory", 8, 3, algorithm="fastpp", memory_bits=3e5)
+        layouts = np.array([[0, 2, 5], [0, 3, 6], [0, 1, 7]])
+        key_mass, nonkey_mass = d.masses(layouts, np.c_[layouts[:, 1:], [8, 8, 8]])
+        scaled = config.effective_scaled_keys(d)
+        ranked, _ = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
+        assert np.isnan(ranked).all()
+        _, scores = optimizer._rates_and_score(config, scaled, key_mass, nonkey_mass)
+        assert not np.isnan(scores).any()
+        plan = solve(d, config)
+        assert plan.fprs == (FPR_FLOOR,) * 3
+        assert plan.boundaries == exhaustive_plan(d, config).boundaries
+
+    def test_an_all_infeasible_sweep_settles_every_layout(self, monkeypatch):
+        # the first ones' error is then raised, as
+        # test_when_every_layout_is_infeasible_the_first_ones_error_is_raised asserts
+        d = SegmentedDistribution.from_masses([1, 0, 0, 0], [0, 0, 0, 1], n_keys=1000)
+        config = BuildConfig("memory", 4, 3, algorithm="fast", memory_bits=1e-8)
+        settled = []
+        exact = optimizer._rates_and_score
+
+        def spy(config, scaled, key_mass, nonkey_mass):
+            settled.append(len(np.atleast_2d(key_mass)))
+            return exact(config, scaled, key_mass, nonkey_mass)
+
+        monkeypatch.setattr(optimizer, "_rates_and_score", spy)
+        with pytest.raises(InfeasibleError, match="cannot spend 1e-08 bits"):
+            solve(d, config)
+        assert settled == [2, 1]  # both layouts, then the first one alone
+
+
 class TestPlanningInput:
     """Every planner, planning_table and the oracle refuse unnormalized masses first."""
 

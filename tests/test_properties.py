@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cache
 from math import isnan
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from plbf import (
     SegmentedDistribution,
     SyntheticSpec,
     ValidationError,
+    apply_swaps,
     bloom_memory_bits,
     build_filter,
     divergence,
@@ -463,3 +465,94 @@ def test_corrupt_filter_file_is_rejected_or_round_trips(edits):
             return
         loaded.save(again)
         assert again.read_bytes() == data
+
+
+@st.composite
+def candidate_rule_inputs(draw):
+    """A sparse, swapped-Zipf or subnormal histogram, with both budgets."""
+    kind = draw(st.sampled_from(["sparse", "swapped zipf", "subnormal"]))
+    n = draw(st.integers(4, 24))
+    if kind == "swapped zipf":
+        spec = SyntheticSpec(n, 1000, 1000, zipf_exponent=draw(st.floats(0.3, 2.5)))
+        d = apply_swaps(zipfian_distribution(spec), draw(st.integers(0, 3 * n)),
+                        seed=draw(st.integers(0, 2**16)))
+        g, h = d.g.tolist(), d.h.tolist()
+    else:
+        if kind == "sparse":  # u**6, about half of them zeroed
+            entry = st.tuples(st.floats(0.0, 1.0), st.booleans()).map(
+                lambda e: 0.0 if e[1] else e[0] ** 6)
+        else:
+            entry = st.one_of(st.floats(0.01, 1.0), st.integers(1, 1000).map(lambda m: m * 5e-324))
+        g = draw(st.lists(entry, min_size=n, max_size=n))
+        h = draw(st.lists(entry, min_size=n, max_size=n))
+    assume(sum(g) > 0 and sum(h) > 0)
+    n_keys = draw(st.integers(1, 10**6))
+    return {
+        "g": g,
+        "h": h,
+        "n_regions": draw(st.integers(2, min(5, n - 1))),
+        "n_keys": n_keys,
+        "target_fpr": 10 ** draw(st.floats(-12.0, -0.05)),
+        # up to thousands of bits per key, where 2**-beta is subnormal
+        "memory_bits": n_keys * 10 ** draw(st.floats(-3.0, 3.5)),
+    }
+
+
+def exact_scores(config, scaled, key_mass, nonkey_mass):
+    """Every layout's rates and score from the public exact functions."""
+    if config.framework == "fpr":
+        fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
+        return fprs, bloom_memory_bits(key_mass, fprs, scaled)
+    fprs = optimal_fprs_for_memory(key_mass, nonkey_mass, config.memory_bits, scaled)
+    return fprs, expected_fpr(nonkey_mass, fprs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# 2**-beta is subnormal at 3000 bits per key, so every layout ranks NaN
+@example(case=dict(g=[1, 2, 3, 4, 5, 6, 7, 8], h=[8, 7, 6, 5, 4, 3, 2, 1], n_regions=3,
+                   n_keys=100, target_fpr=0.01, memory_bits=3e5))
+# every layout clamps all its key mass: all infeasible under both budgets
+@example(case=dict(g=[1, 0, 0, 0], h=[0, 0, 0, 1], n_regions=3, n_keys=1000,
+                   target_fpr=1e-12, memory_bits=1e-8))
+@given(case=candidate_rule_inputs())
+def test_sweep_picks_the_all_exact_argmin(case):
+    # The sweep ranks layouts with numpy's log2 and exp2 and settles only the
+    # near-best exactly; its plan or error must be the one that scoring every
+    # layout exactly gives: the lowest score, ties to the first layout.
+    d = SegmentedDistribution.from_masses(case["g"], case["h"], n_keys=case["n_keys"])
+    batches = []
+    settle = optimizer._settled_winner
+
+    def spy(config, scaled, key_mass, nonkey_mass):
+        batches.append((config, scaled, key_mass, nonkey_mass))
+        return settle(config, scaled, key_mass, nonkey_mass)
+
+    with mock.patch.object(optimizer, "_settled_winner", spy):
+        for config in configs(case, d.n_segments):
+            batches.clear()
+            try:
+                plan, error = solve(d, config), None
+            except InfeasibleError as exc:
+                plan, error = None, str(exc)
+            [(_, scaled, key_mass, nonkey_mass)] = batches
+            fprs, scores = exact_scores(config, scaled, key_mass, nonkey_mass)
+            ranked, _ = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
+            both = ~np.isnan(ranked) & ~np.isnan(scores)
+            slack = config.n_regions * optimizer.RANK_RTOL * scores + optimizer.RANK_ATOL
+            assert (np.abs(ranked - scores) <= slack)[both].all(), config
+            feasible = np.flatnonzero(~np.isnan(scores))
+            if not feasible.size:
+                assert plan is None, config
+                if len(key_mass):
+                    with pytest.raises(InfeasibleError) as first:
+                        exact_scores(config, scaled, key_mass[0], nonkey_mass[0])
+                    assert error == str(first.value), config
+                else:
+                    assert error == "no feasible region layout", config
+                continue
+            best = feasible[np.argmin(scores[feasible])]
+            assert error is None, config
+            assert plan.fprs == tuple(fprs[best].tolist()), config
+            assert plan.objective == float(scores[best]), config
+            assert plan.key_mass == tuple(key_mass[best].tolist()), config
+            assert plan.nonkey_mass == tuple(nonkey_mass[best].tolist()), config

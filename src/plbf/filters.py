@@ -108,7 +108,11 @@ class PlbfFilter:
         return self._regions[int(score * self._n_segments)]
 
     def query(self, element_id: bytes | str, score: float) -> bool:
-        region = self.region_of(score)
+        # region_of's range check and table lookup, inline so that a probe
+        # costs one frame less; TestQueryRouting pins the two together
+        if not (0.0 <= score <= 1.0):
+            raise ValidationError(f"score must lie in [0, 1], got {score!r}")
+        region = self._regions[int(score * self._n_segments)]
         filt = self.region_filters[region]
         if filt is None:
             return self.plan.fprs[region] >= 1.0

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plbf import BloomFilter, ValidationError, bits_for, hashes_for
 
@@ -216,7 +218,8 @@ class TestProbeWalk:
                 filt = BloomFilter(m, 30, seed=seed)
                 assert probes(filt, element_id) == reference_probes(element_id, seed, m, 30)
 
-    @pytest.mark.parametrize("m", [8, 101, 1 << 16, 10**7 + 19])
+    # m = 1 reduces every stride to 0; m = 2 and 3 wrap on every probe
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 101, 1 << 16, 10**7 + 19])
     def test_insert_and_contains_walk_the_reference_probes(self, m):
         for k in (1, 2, 7, 30):
             for element_id in self.IDS:
@@ -229,3 +232,23 @@ class TestProbeWalk:
                     filt._bits[p >> 3] ^= 1 << (p & 7)  # a clear bit must decide the answer
                     assert not filt.contains(element_id)
                     filt._bits[p >> 3] ^= 1 << (p & 7)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 10**7),
+        k=st.integers(1, 30),
+        seed=st.integers(0, (1 << 64) - 1),
+        element_id=st.text(max_size=12),
+        data=st.data(),
+    )
+    def test_contains_is_every_reference_probe_set(self, m, k, seed, element_id, data):
+        filt = BloomFilter(m, k, seed=seed)
+        expected = reference_probes(element_id, seed, m, k)
+        # every probe's bit set but up to three (often none, or the first
+        # or the last probe); then some stray bits anywhere
+        holes = set(data.draw(st.lists(st.integers(0, k - 1), max_size=3)))
+        stray = data.draw(st.lists(st.integers(0, m - 1), max_size=20))
+        for p in [p for i, p in enumerate(expected) if i not in holes] + stray:
+            filt._bits[p >> 3] |= 1 << (p & 7)
+        every_bit_set = all(filt._bits[p >> 3] >> (p & 7) & 1 for p in expected)
+        assert filt.contains(element_id) == every_bit_set

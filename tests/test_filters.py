@@ -190,24 +190,81 @@ class TestQueryRouting:
             with pytest.raises(ValidationError):
                 filt.query("x", bad)
 
-    @pytest.mark.parametrize("n, k", [(2, 2), (20, 4), (1000, 5), (997, 13), (600, 300)])
-    def test_region_of_is_bisect_of_segment_index(self, n, k):
+    SHAPES = [(2, 2), (20, 4), (1000, 5), (997, 13), (600, 300)]
+
+    @staticmethod
+    def layouts(n, k):
+        """Five random boundary tuples of ``k`` regions over ``n`` segments."""
         rng = np.random.default_rng(n * 1000 + k)
         for _ in range(5):
             inner = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
-            bounds = (0, *inner, n)
+            yield (0, *inner, n)
+
+    @staticmethod
+    def edge_scores(n):
+        """Every segment's edge, the double below it and its middle; 1.0 and below."""
+        scores = [1.0, math.nextafter(1.0, 0.0)]
+        for seg in range(n):
+            edge = seg / n
+            scores += [edge, math.nextafter(edge, 0.0), (seg + 0.5) / n]
+        return scores
+
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_region_of_is_bisect_of_segment_index(self, n, k):
+        for bounds in self.layouts(n, k):
             plan = make_plan(
                 n_regions=k, boundaries=bounds, fprs=(0.5,) * k,
                 key_mass=(1 / k,) * k, nonkey_mass=(1 / k,) * k,
             )
             filt = PlbfFilter(plan, (None,) * k)
-            scores = [1.0, math.nextafter(1.0, 0.0)]
-            for seg in range(n):
-                edge = seg / n
-                scores += [edge, math.nextafter(edge, 0.0), (seg + 0.5) / n]
-            for score in scores:
+            for score in self.edge_scores(n):
                 expect = bisect_right(bounds, segment_index(score, n)) - 1
                 assert filt.region_of(score) == expect, score
+
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_query_answers_what_region_of_routes_to(self, n, k):
+        # query inlines region_of's rule: over the same scores it must ask
+        # the filter region_of names, or answer that region's empty rule.
+        # Every third region has rate 1, and the one after it gets no keys.
+        fprs = tuple((0.25, 1.0, 0.75)[r % 3] for r in range(k))
+        for bounds in self.layouts(n, k):
+            plan = make_plan(
+                n_regions=k, boundaries=bounds, fprs=fprs,
+                key_mass=(1 / k,) * k, nonkey_mass=(1 / k,) * k,
+            )
+            routing = PlbfFilter(plan, (None,) * k)
+            scores = self.edge_scores(n)
+            keys = [
+                ScoreRecord(f"key-{i}", score, True)
+                for i, score in enumerate(scores) if routing.region_of(score) % 3 == 0
+            ]
+            filt = build_filter(keys, plan, seed=5)
+            answers = set()
+            for i, score in enumerate(scores):
+                region = filt.region_of(score)
+                backing = filt.region_filters[region]
+                for element_id in (f"key-{i}", f"other-{i}"):
+                    if backing is None:
+                        expect = fprs[region] >= 1.0
+                    else:
+                        expect = backing.contains(element_id)
+                    assert filt.query(element_id, score) is expect, (element_id, score)
+                    answers.add((backing is None, expect))
+            kinds = {(False, True), (False, False), (True, True), (True, False)}
+            # two regions leave no room for a keyless one
+            assert answers == (kinds if k >= 3 else kinds - {(True, False)})
+
+    @pytest.mark.parametrize(
+        "score", [math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0), -5e-324]
+    )
+    def test_query_and_region_of_refuse_a_score_alike(self, score):
+        filt, _, _ = solved_filter()
+        with pytest.raises(ValidationError) as routed:
+            filt.region_of(score)
+        with pytest.raises(ValidationError) as queried:
+            filt.query("x", score)
+        assert str(queried.value) == str(routed.value)
+        assert str(routed.value).startswith("score must lie in [0, 1]")
 
     def test_rejects_plans_beyond_the_segment_cap(self):
         plan = make_plan(boundaries=(0, 2, MAX_SEGMENTS + 1))

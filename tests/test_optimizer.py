@@ -692,6 +692,12 @@ class TestRankThenSettle:
             solve(d, config)
         assert settled == [2, 1]  # both layouts, then the first one alone
 
+    def test_a_lone_infeasible_layout_settles_to_none(self):
+        config = BuildConfig("fpr", 8, 2, target_fpr=0.01)
+        key_mass, nonkey_mass = np.array([[1.0, 1e-12]]), np.array([[1e-12, 1.0]])
+        assert np.isnan(self.exact(config, key_mass, nonkey_mass)[1][0])
+        assert self.settle(config, key_mass, nonkey_mass) is None
+
 
 class TestPlanningInput:
     """Every planner, planning_table and the oracle refuse unnormalized masses first."""

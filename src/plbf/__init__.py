@@ -21,6 +21,7 @@ from .distribution import (
     read_records_csv,
     sample_records,
     segment_index,
+    segment_indices,
     segment_scores,
     synthesize_records,
     write_records_csv,
@@ -101,6 +102,7 @@ __all__ = [
     "region_seed",
     "sample_records",
     "segment_index",
+    "segment_indices",
     "segment_scores",
     "solve",
     "solve_timed",

@@ -49,6 +49,15 @@ def segment_index(score: float, n_segments: int) -> int:
     return min(int(score * n_segments), n_segments - 1)
 
 
+def segment_indices(scores, n_segments: int) -> np.ndarray:
+    """:func:`segment_index` of every score in an array, as int64 bins.
+
+    Truncating ``score * n_segments`` as an int64 is ``int()`` on [0, 1],
+    and a score of 1 folds into the last bin.
+    """
+    return np.minimum((np.asarray(scores) * n_segments).astype(np.int64), n_segments - 1)
+
+
 @dataclass(frozen=True)
 class ScoreRecord:
     """One scored element: opaque id, score in [0, 1], key/non-key label."""
@@ -214,16 +223,17 @@ def segment_scores(records, n_segments: int) -> SegmentedDistribution:
 
     ``records`` is :class:`ScoreColumns` or an iterable of records.  Raises
     distinct validation errors when the key side or the non-key side is
-    empty.  The bins are :func:`segment_index`'s: truncating ``score *
-    n_segments`` as an int64 is ``int()`` on [0, 1], and 1 folds into the
-    last bin.
+    empty.  Scores fall into bins by :func:`segment_indices`.
     """
+    try:
+        n_segments = operator.index(n_segments)
+    except TypeError:
+        raise ValidationError(f"n_segments must be an integer, got {n_segments!r}") from None
     if n_segments < 2:
         raise ValidationError("n_segments must be at least 2")
     columns = ScoreColumns.from_records(records)
-    scores, is_key = columns.scores, columns.is_key
-    bins = np.minimum((scores * n_segments).astype(np.int64), n_segments - 1)
-    counts = np.bincount(bins + n_segments * is_key, minlength=2 * n_segments)
+    bins = segment_indices(columns.scores, n_segments)
+    counts = np.bincount(bins + n_segments * columns.is_key, minlength=2 * n_segments)
     nonkey_counts, key_counts = counts[:n_segments], counts[n_segments:]
     n_keys = int(key_counts.sum())
     n_nonkeys = int(nonkey_counts.sum())
@@ -392,8 +402,7 @@ def _fill_segments(rng, counts, n_segments, is_key, prefix) -> ScoreColumns:
     seg = np.repeat(np.arange(n_segments), counts)
     scores = (seg + rng.random(seg.size)) / n_segments
     # Float rounding can put a score just outside its bin; nudge it toward the centre.
-    while (out := np.flatnonzero(
-            np.minimum((scores * n_segments).astype(np.int64), n_segments - 1) != seg)).size:
+    while (out := np.flatnonzero(segment_indices(scores, n_segments) != seg)).size:
         scores[out] = np.nextafter(scores[out], (seg[out] + 0.5) / n_segments)
     ids = [f"{prefix}{serial:08d}" for serial in range(seg.size)]
     return ScoreColumns(ids, scores, np.full(seg.size, is_key))

@@ -14,6 +14,7 @@ from plbf import (
     read_records_csv,
     sample_records,
     segment_index,
+    segment_indices,
     segment_scores,
     synthesize_records,
     write_records_csv,
@@ -29,6 +30,9 @@ class TestSegmentIndex:
         assert segment_index(0.05, 10) == 0
         assert segment_index(0.35, 10) == 3
         assert segment_index(0.999, 1000) == 999
+        top = np.array([1.0, math.nextafter(1.0, 0.0)])
+        for n in range(2, 2**16 + 1):
+            assert segment_indices(top, n).tolist() == [n - 1, n - 1], n
 
     def test_bin_edges_belong_to_upper_bin(self):
         assert segment_index(0.5, 2) == 1
@@ -166,6 +170,13 @@ class TestSegmentScores:
         records = [ScoreRecord("a", 0.5, True), ScoreRecord("x", 0.5, False)]
         with pytest.raises(ValidationError, match="n_segments must be at least 2"):
             segment_scores(records, 1)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
+    def test_rejects_non_integer_segment_count(self, n):
+        records = [ScoreRecord("a", 0.5, True), ScoreRecord("x", 0.5, False)]
+        with pytest.raises(ValidationError, match="n_segments must be an integer"):
+            segment_scores(records, n)
+        assert segment_scores(records, np.int64(10)).n_segments == 10
 
     def test_requires_keys(self):
         with pytest.raises(ValidationError, match="no key records"):

@@ -20,6 +20,7 @@ from plbf import (
     load_filter,
     region_seed,
     segment_index,
+    segment_indices,
     solve,
 )
 from plbf.filters import MAX_SEGMENTS
@@ -211,13 +212,17 @@ class TestQueryRouting:
 
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_region_of_is_bisect_of_segment_index(self, n, k):
+        scores = self.edge_scores(n)
+        assert segment_indices(np.array(scores), n).tolist() == [
+            segment_index(s, n) for s in scores
+        ]
         for bounds in self.layouts(n, k):
             plan = make_plan(
                 n_regions=k, boundaries=bounds, fprs=(0.5,) * k,
                 key_mass=(1 / k,) * k, nonkey_mass=(1 / k,) * k,
             )
             filt = PlbfFilter(plan, (None,) * k)
-            for score in self.edge_scores(n):
+            for score in scores:
                 expect = bisect_right(bounds, segment_index(score, n)) - 1
                 assert filt.region_of(score) == expect, score
 

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import struct
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 
 LOG2_E = math.log2(math.e)
 _LN2 = math.log(2.0)
@@ -52,13 +51,10 @@ _MASK64 = (1 << 64) - 1
 def check_seed(seed) -> int:
     """``seed`` as a Python int in [0, 2**64), else a ValidationError.
 
-    Any integer type passes (``operator.index``: numpy integers too, not
-    floats), so every filter keys its hashes from the same 8 bytes.
+    Any integer type passes (numpy integers too, not floats), so every
+    filter keys its hashes from the same 8 bytes.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    seed = as_integer("seed", seed)
     if not (0 <= seed <= _MASK64):
         raise ValidationError("seed must fit in 64 bits")
     return seed
@@ -92,13 +88,12 @@ class BloomFilter:
     __slots__ = ("n_bits", "n_hashes", "seed", "n_inserted", "_bits", "_hasher")
 
     def __init__(self, n_bits: int, n_hashes: int, seed: int = 0) -> None:
-        if n_bits < 1:
-            raise ValidationError("n_bits must be positive")
-        if n_hashes < 1:
-            raise ValidationError("n_hashes must be positive")
+        n_bits, n_hashes = as_integer("n_bits", n_bits), as_integer("n_hashes", n_hashes)
+        if n_bits < 1 or n_hashes < 1:
+            raise ValidationError("n_bits and n_hashes must be positive")
         self.seed = check_seed(seed)
-        self.n_bits = int(n_bits)
-        self.n_hashes = int(n_hashes)
+        self.n_bits = n_bits
+        self.n_hashes = n_hashes
         self.n_inserted = 0
         self._bits = bytearray((n_bits + 7) >> 3)
         self._hasher = hashlib.blake2b(digest_size=16, key=self.seed.to_bytes(8, "little"))

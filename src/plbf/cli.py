@@ -31,7 +31,7 @@ from .distribution import (
     write_records_csv,
 )
 from .dp import write_table_csv
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, as_integer
 from .filters import build_filter, load_filter
 from .optimizer import (
     ALGORITHMS,
@@ -61,7 +61,7 @@ def _resolve_seed(value: int | None) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise ValidationError(f"PLBF_SEED must be an integer, got {raw!r}")
+            as_integer("PLBF_SEED", raw)  # text int() refuses: raises, naming the variable
     return check_seed(value)
 
 

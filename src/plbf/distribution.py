@@ -21,16 +21,16 @@ threads.
 from __future__ import annotations
 
 import csv
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
+from math import inf
 from operator import attrgetter
 from typing import NoReturn
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer, as_real
 
 CSV_HEADER = ("element_id", "score", "label")
 
@@ -135,8 +135,8 @@ class SegmentedDistribution:
     segment ``i`` of the equal-width bins of [0, 1].  The constructor takes
     the two mass vectors as they are, refusing only a total that overflows;
     :meth:`from_masses` validates and normalizes raw masses first.
-    ``n_keys`` records how many key elements produced ``g``; sizing formulas
-    need it even though the masses themselves are normalized.
+    ``n_keys``, an int of at least 1, records how many key elements produced
+    ``g``; sizing formulas need it even though the masses are normalized.
 
     Everything else is derived here, once: ``n_segments`` is the vectors'
     length, and the prefix arrays have ``n_segments + 1`` entries with
@@ -155,6 +155,9 @@ class SegmentedDistribution:
         g, h = self.g, self.h
         if g.ndim != 1 or g.shape != h.shape or g.size < 1:
             raise ValidationError("mass vectors must be 1-D and equally sized")
+        object.__setattr__(self, "n_keys", as_integer("n_keys", self.n_keys))
+        if self.n_keys < 1:
+            raise ValidationError(f"n_keys must be at least 1, got {self.n_keys}")
         object.__setattr__(self, "n_segments", int(g.size))
         with np.errstate(over="ignore"):
             g_prefix, h_prefix = np.cumsum(g), np.cumsum(h)
@@ -225,10 +228,7 @@ def segment_scores(records, n_segments: int) -> SegmentedDistribution:
     distinct validation errors when the key side or the non-key side is
     empty.  Scores fall into bins by :func:`segment_indices`.
     """
-    try:
-        n_segments = operator.index(n_segments)
-    except TypeError:
-        raise ValidationError(f"n_segments must be an integer, got {n_segments!r}") from None
+    n_segments = as_integer("n_segments", n_segments)
     if n_segments < 2:
         raise ValidationError("n_segments must be at least 2")
     columns = ScoreColumns.from_records(records)
@@ -262,7 +262,8 @@ class SyntheticSpec:
     non-decreasing across segments; non-key mass mirrors it non-increasing.
     ``n_swaps`` then exchanges adjacent segments at uniformly drawn positions,
     which dials in how far the artifact sits from the ideal shape.  The
-    counts are integers, stored as ints (numpy integers pass).
+    counts are integers, stored as ints (numpy integers pass), and the
+    exponent a positive, finite real, stored as a float.
     """
 
     n_segments: int
@@ -274,23 +275,28 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_segments", "n_keys", "n_nonkeys", "n_swaps"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.n_segments < 2:
             raise ValidationError("n_segments must be at least 2")
         if self.n_keys < 1 or self.n_nonkeys < 1:
             raise ValidationError("n_keys and n_nonkeys must be positive")
-        if not (self.zipf_exponent > 0):
-            raise ValidationError("zipf_exponent must be positive")
+        object.__setattr__(self, "zipf_exponent", as_real(self.zipf_exponent))
+        if not (0.0 < self.zipf_exponent < inf):
+            raise ValidationError("zipf_exponent must be a positive, finite real")
         if self.n_swaps < 0:
             raise ValidationError("n_swaps must be nonnegative")
 
 
 def _zipf_base(n_segments: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    weights = np.arange(1, n_segments + 1, dtype=np.float64) ** (-exponent)
+    """Masses proportional to rank**(-exponent), bit for bit whatever numpy's SIMD dispatch.
+
+    numpy's power loop rounds otherwise under AVX-512; Python's ``pow`` per rank gives
+    its bits with AVX-512 off, and ``1.0 / ranks`` its ``** -1.0`` on both.
+    """
+    if exponent == 1:
+        weights = 1.0 / np.arange(1, n_segments + 1, dtype=np.float64)
+    else:
+        weights = np.fromiter((pow(r, -exponent) for r in range(1, n_segments + 1)), np.float64)
     weights /= weights.sum()
     return weights[::-1].copy(), weights.copy()  # keys ascending, non-keys descending
 
@@ -376,21 +382,23 @@ def sample_records(
     n_nonkeys: int,
     seed: int,
     *,
-    key_prefix: str = "k",
     nonkey_prefix: str = "q",
 ) -> list[ScoreRecord]:
     """Draw iid records from a distribution (multinomial over segments).
 
     Unlike :func:`synthesize_records` this is plain sampling: the empirical
     histogram only approaches ``dist`` as the counts grow.  Useful for
-    held-out evaluation sets.  Returns a list, not columns, so callers can
-    concatenate it with other lists of records.
+    held-out evaluation sets.  Key ids start with ``k``.  Returns a list,
+    not columns, so callers can concatenate it with other lists of records.
     """
+    n_keys, n_nonkeys = as_integer("n_keys", n_keys), as_integer("n_nonkeys", n_nonkeys)
+    if n_keys < 0 or n_nonkeys < 0:
+        raise ValidationError("n_keys and n_nonkeys must be nonnegative")
     rng = _rng(seed)
     out: list[ScoreRecord] = []
     if n_keys:
         counts = rng.multinomial(n_keys, dist.g / dist.g.sum())
-        out.extend(_fill_segments(rng, counts, dist.n_segments, True, key_prefix))
+        out.extend(_fill_segments(rng, counts, dist.n_segments, True, "k"))
     if n_nonkeys:
         counts = rng.multinomial(n_nonkeys, dist.h / dist.h.sum())
         out.extend(_fill_segments(rng, counts, dist.n_segments, False, nonkey_prefix))

@@ -71,7 +71,7 @@ from typing import Protocol
 import numpy as np
 
 from .distribution import SegmentedDistribution
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, as_integer
 
 NEG_INF = float("-inf")
 
@@ -351,18 +351,19 @@ def _scan(slab: np.ndarray, term: np.ndarray, prev: np.ndarray):
     return term[np.arange(args.size), args], args
 
 
-def _validate_regions(dist: SegmentedDistribution, n_regions: int) -> None:
+def check_region_count(n_segments: int, n_regions) -> int:
+    """``n_regions`` as an int k with 2 <= k < ``n_segments``, else a ValidationError."""
+    n_regions = as_integer("n_regions", n_regions)
     if n_regions < 2:
         raise ValidationError("n_regions must be at least 2")
-    if n_regions >= dist.n_segments:
-        raise ValidationError(
-            f"n_regions must be below n_segments ({n_regions} >= {dist.n_segments})"
-        )
+    if n_regions >= n_segments:
+        raise ValidationError(f"n_regions must be below n_segments ({n_regions} >= {n_segments})")
+    return n_regions
 
 
 def divergence_table(dist: SegmentedDistribution, n_regions: int) -> DPTable:
     """Full table: rows cover prefixes 0..n_segments-1, columns 0..n_regions-1."""
-    _validate_regions(dist, n_regions)
+    n_regions = check_region_count(dist.n_segments, n_regions)
     return _TableBuilder(dist).build(dist.n_segments, n_regions)
 
 
@@ -372,8 +373,7 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     Matches :func:`divergence_table` exactly on ideal distributions; on
     arbitrary ones every entry is <= the exhaustive value.
     """
-    _validate_regions(dist, n_regions)
-
+    n_regions = check_region_count(dist.n_segments, n_regions)
     n = dist.n_segments
     # one pair for every column: _fill_columns copies a column's maxima into
     # the table before the next solve writes over them

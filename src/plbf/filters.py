@@ -23,7 +23,7 @@ import numpy as np
 from .bloom import _MASK64, BloomFilter, bits_for, check_seed, hashes_for
 from .distribution import ScoreColumns, segment_indices
 from .errors import ValidationError
-from .optimizer import MAX_SEGMENTS, RegionPlan, plan_from_dict, plan_to_dict
+from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
 
 _MAGIC = b"PLBF"
 _VERSION = 1
@@ -45,8 +45,8 @@ def _region_table(plan: RegionPlan) -> array:
 
     For ``0 <= score <= 1`` the product lies in ``[0, n_segments]``.  It
     reaches ``n_segments`` only for a score of exactly 1: times the largest
-    double below 1, every count up to ``MAX_SEGMENTS`` truncates to
-    ``n_segments - 1``.  Entry ``n_segments`` repeats the last region, so a
+    double below 1, every count up to ``MAX_SEGMENTS``, the most a plan may
+    have, truncates to ``n_segments - 1``.  Entry ``n_segments`` repeats the last region, so a
     score of 1 lands where ``segment_index`` clamps it, in the last segment.
 
     The entry stands in for that clamp on the scalar path (``region_of``
@@ -56,10 +56,6 @@ def _region_table(plan: RegionPlan) -> array:
     core).  ``build_filter`` gathers at :func:`segment_indices`, which
     clamps, and never reads it.
     """
-    if plan.n_segments > MAX_SEGMENTS:
-        raise ValidationError(
-            f"plan has {plan.n_segments} segments, more than {MAX_SEGMENTS}"
-        )
     table = array("B" if plan.n_regions <= 256 else "I")
     bounds = plan.boundaries
     for r in range(plan.n_regions):

@@ -38,12 +38,10 @@ one-layout call gives the winner, to the bit, whatever numpy's SIMD dispatch.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import dataclass
 from itertools import repeat
 from math import inf, log2, nan
-from numbers import Real
 
 import numpy as np
 
@@ -54,12 +52,13 @@ from .dp import (
     DPTable,
     _scan,
     _TableBuilder,
+    check_region_count,
     divergence_table,
     divergence_table_monotone,
     divergences,
     trace_layouts,
 )
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, as_integer, as_real
 
 ALGORITHMS = ("plbf", "fast", "fastpp", "relaxed")
 FRAMEWORKS = ("fpr", "memory")
@@ -75,8 +74,8 @@ FPR_FLOOR = 2.0**-1022
 
 # The most segments a plan may have.  A filter's region table holds a byte or
 # four per segment, so this caps it at 64 MB however large a number of
-# segments a plan, or a crafted file, claims; configs above it are refused
-# before any histogram is made.
+# segments a crafted file claims: the plan refuses more, and configs above it
+# are refused before any histogram is made.
 MAX_SEGMENTS = 1 << 24
 
 # How far a plan's region masses may sum from 1: rounding, plus the floor
@@ -138,6 +137,8 @@ class RegionPlan:
             raise ValidationError("boundaries must start at 0")
         if any(a >= b for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValidationError("boundaries must be strictly increasing")
+        if self.n_segments > MAX_SEGMENTS:
+            raise ValidationError(f"plan has {self.n_segments} segments, more than {MAX_SEGMENTS}")
         for name, masses in (("key_mass", self.key_mass), ("nonkey_mass", self.nonkey_mass)):
             if len(masses) != k:
                 raise ValidationError(f"{name} must have one entry per region")
@@ -159,14 +160,6 @@ class RegionPlan:
     @property
     def n_segments(self) -> int:
         return self.boundaries[-1]
-
-
-def _as_float(value) -> float:
-    """A real number as a float, +-inf beyond float's range; anything else NaN."""
-    try:
-        return float(value) if isinstance(value, Real) else nan
-    except OverflowError:  # an int or fraction too large for a float
-        return inf if value > 0 else -inf
 
 
 @dataclass(frozen=True)
@@ -194,33 +187,21 @@ class BuildConfig:
             raise ValidationError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
-        for name in ("n_segments", "n_regions"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-        if self.n_regions < 2:
-            raise ValidationError("n_regions must be at least 2")
-        if self.n_segments <= self.n_regions:
-            raise ValidationError(
-                f"n_segments must exceed n_regions "
-                f"({self.n_segments} <= {self.n_regions})"
-            )
-        if self.n_segments > MAX_SEGMENTS:
-            raise ValidationError(
-                f"n_segments must be at most {MAX_SEGMENTS}, got {self.n_segments}"
-            )
+        n_segments = as_integer("n_segments", self.n_segments)
+        object.__setattr__(self, "n_segments", n_segments)
+        object.__setattr__(self, "n_regions", check_region_count(n_segments, self.n_regions))
+        if n_segments > MAX_SEGMENTS:
+            raise ValidationError(f"n_segments must be at most {MAX_SEGMENTS}, got {n_segments}")
         if self.framework == "fpr":
             if self.memory_bits is not None:
                 raise ValidationError("memory_bits only applies to the memory framework")
-            object.__setattr__(self, "target_fpr", _as_float(self.target_fpr))
+            object.__setattr__(self, "target_fpr", as_real(self.target_fpr))
             if not (0.0 < self.target_fpr < 1.0):
                 raise ValidationError("fpr framework needs target_fpr in (0, 1)")
         else:
             if self.target_fpr is not None:
                 raise ValidationError("target_fpr only applies to the fpr framework")
-            object.__setattr__(self, "memory_bits", _as_float(self.memory_bits))
+            object.__setattr__(self, "memory_bits", as_real(self.memory_bits))
             if not (self.memory_bits > 0):
                 raise ValidationError("memory framework needs memory_bits > 0")
 
@@ -233,10 +214,7 @@ class BuildConfig:
 
     def effective_scaled_keys(self, dist: SegmentedDistribution) -> float:
         """Key count times the classic Bloom backend's bits-per-key factor, log2 e."""
-        scaled = LOG2_E * dist.n_keys
-        if scaled <= 0:
-            raise ValidationError("distribution has no key count")
-        return scaled
+        return LOG2_E * dist.n_keys
 
 
 @dataclass(frozen=True)

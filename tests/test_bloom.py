@@ -120,6 +120,16 @@ class TestBloomFilter:
         with pytest.raises(ValidationError):
             BloomFilter(8, 1, seed=1 << 64)
 
+    @pytest.mark.parametrize("counts, field", [
+        ((10.0, 3), "n_bits"), (("64", 3), "n_bits"), ((10, 2.5), "n_hashes"), ((10, "3"), "n_hashes"),
+    ], ids=["float-bits", "text-bits", "float-hashes", "text-hashes"])
+    def test_counts_must_be_integers(self, counts, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            BloomFilter(*counts)
+        numpy_counted = BloomFilter(np.int64(64), np.uint8(3))
+        assert numpy_counted == BloomFilter(64, 3)
+        assert type(numpy_counted.n_bits) is int and type(numpy_counted.n_hashes) is int
+
     def test_seed_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="seed must be an integer"):
             BloomFilter(64, 3, seed=1.5)

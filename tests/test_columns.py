@@ -307,11 +307,11 @@ def test_generators_match_the_per_record_loop(
     expected = []
     if n_keys:
         counts = rng.multinomial(n_keys, dist.g / dist.g.sum()).tolist()
-        expected += per_record_fill(rng, counts, n, True, "a")
+        expected += per_record_fill(rng, counts, n, True, "k")
     if n_nonkeys:
         counts = rng.multinomial(n_nonkeys, dist.h / dist.h.sum()).tolist()
         expected += per_record_fill(rng, counts, n, False, "b")
-    sampled = sample_records(dist, n_keys, n_nonkeys, seed, key_prefix="a", nonkey_prefix="b")
+    sampled = sample_records(dist, n_keys, n_nonkeys, seed, nonkey_prefix="b")
     assert sampled == expected
     assert_same_csv(tmp_path_factory, sampled, expected)
 

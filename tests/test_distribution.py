@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from plbf import (
     write_records_csv,
     zipfian_distribution,
 )
-from plbf.distribution import _fill_segments
+from plbf.distribution import _fill_segments, _zipf_base
 
 
 class TestSegmentIndex:
@@ -99,6 +100,14 @@ class TestSegmentedDistribution:
     def test_constructor_rejects_prefix_sum_that_overflows(self):
         with pytest.raises(ValidationError, match="^mass vectors must have finite totals$"):
             SegmentedDistribution(np.array([1.7e308, 1.7e308]), np.array([0.5, 0.5]), 1)
+
+    @pytest.mark.parametrize("n_keys", ["3", 2.5, 0, -5])
+    def test_constructor_takes_a_positive_integer_key_count(self, n_keys):
+        g, h = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        expected = "n_keys must be " + ("an integer" if not isinstance(n_keys, int) else "at least 1")
+        with pytest.raises(ValidationError, match=expected):
+            SegmentedDistribution(g, h, n_keys)
+        assert type(SegmentedDistribution(g, h, np.int64(7)).n_keys) is int
 
     def test_constructor_derives_read_only_arrays(self):
         d = SegmentedDistribution(np.array([0.25, 0.75]), np.array([0.5, 0.5]), 4)
@@ -243,6 +252,15 @@ class TestZipfianDistribution:
         assert d.h.sum() == pytest.approx(1.0)
         assert d.g.tolist() == pytest.approx(d.h[::-1].tolist())
 
+    def test_masses_do_not_depend_on_numpy_simd_dispatch(self):
+        # numpy's AVX-512 power loop rounds rank**-e otherwise than its
+        # other loops; these are the bits without it, pinned
+        pins = {1.3: "3cfa5a6af874a5b2251f3bc571899094aaa387f72366c1bd0a2031d3fab58100",
+                0.7: "356f45fb35599b0e72f77b2ad7ea2cbe440d48cd3e2ed3933b67c3c830cba41e"}
+        for exponent, digest in pins.items():
+            g, h = _zipf_base(4000, exponent)
+            assert hashlib.sha256(g.tobytes() + h.tobytes()).hexdigest() == digest, exponent
+
     def test_heavy_swapping_breaks_ideality(self):
         spec = SyntheticSpec(1000, 100, 100, n_swaps=10_000, seed=0)
         assert not is_ideal(zipfian_distribution(spec))
@@ -309,16 +327,25 @@ class TestSynthesizeRecords:
 class TestSampleRecords:
     def test_counts_and_prefixes(self):
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
-        records = sample_records(d, 50, 70, seed=8, key_prefix="kk", nonkey_prefix="nn")
+        records = sample_records(d, 50, 70, seed=8, nonkey_prefix="nn")
         keys = [r for r in records if r.is_key]
         nonkeys = [r for r in records if not r.is_key]
         assert len(keys) == 50 and len(nonkeys) == 70
-        assert all(r.element_id.startswith("kk") for r in keys)
+        assert all(r.element_id.startswith("k") for r in keys)
         assert all(r.element_id.startswith("nn") for r in nonkeys)
 
     def test_deterministic(self):
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
         assert sample_records(d, 30, 30, seed=8) == sample_records(d, 30, 30, seed=8)
+
+    @pytest.mark.parametrize("field", ["n_keys", "n_nonkeys"])
+    @pytest.mark.parametrize("value", [2.5, "3", -1])
+    def test_rejects_a_count_that_is_not_a_nonnegative_integer(self, field, value):
+        d = zipfian_distribution(SyntheticSpec(20, 10, 10))
+        counts = {"n_keys": 0, "n_nonkeys": 0, field: value}
+        expected = "must be nonnegative" if value == -1 else f"{field} must be an integer"
+        with pytest.raises(ValidationError, match=expected):
+            sample_records(d, counts["n_keys"], counts["n_nonkeys"], seed=1)
 
     def test_nonkeys_only(self):
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
@@ -422,8 +449,11 @@ class TestSyntheticSpecValidation:
             SyntheticSpec(10, 0, 10)
 
     def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValidationError):
-            SyntheticSpec(10, 10, 10, zipf_exponent=0.0)
+        # a string or None is no real, and 10**400 is beyond float range
+        for exponent in (0.0, -1.0, "2", None, 10**400, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="zipf_exponent must be a positive"):
+                SyntheticSpec(10, 10, 10, zipf_exponent=exponent)
+        assert type(SyntheticSpec(10, 10, 10, zipf_exponent=np.int64(2)).zipf_exponent) is float
 
     def test_rejects_negative_swaps(self):
         with pytest.raises(ValidationError):

@@ -147,10 +147,13 @@ class TestDivergenceTable:
 
     def test_region_count_validation(self):
         d = dyadic_dist()
-        with pytest.raises(ValidationError):
-            divergence_table(d, 1)
-        with pytest.raises(ValidationError):
-            divergence_table(d, 3)  # k must stay below n
+        for build in (divergence_table, divergence_table_monotone):
+            with pytest.raises(ValidationError, match="n_regions must be at least 2"):
+                build(d, 1)
+            with pytest.raises(ValidationError, match=re.escape("below n_segments (3 >= 3)")):
+                build(d, 3)  # k must stay below n
+            with pytest.raises(ValidationError, match="n_regions must be an integer"):
+                build(d, 2.5)
 
 
 class TestDPTable:

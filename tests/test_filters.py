@@ -18,12 +18,14 @@ from plbf import (
     bits_for,
     build_filter,
     load_filter,
+    plan_from_dict,
+    plan_to_dict,
     region_seed,
     segment_index,
     segment_indices,
     solve,
 )
-from plbf.filters import MAX_SEGMENTS
+from plbf.optimizer import MAX_SEGMENTS
 
 _PREFIX = struct.Struct("<4sHI")
 
@@ -272,9 +274,14 @@ class TestQueryRouting:
         assert str(routed.value).startswith("score must lie in [0, 1]")
 
     def test_rejects_plans_beyond_the_segment_cap(self):
-        plan = make_plan(boundaries=(0, 2, MAX_SEGMENTS + 1))
+        # the plan refuses the count itself, so no filter is ever built for it
         with pytest.raises(ValidationError, match="more than"):
-            PlbfFilter(plan, (None, None))
+            make_plan(boundaries=(0, 2, MAX_SEGMENTS + 1))
+        data = plan_to_dict(make_plan(boundaries=(0, 2, MAX_SEGMENTS)))
+        data["n_segments"] = data["boundaries"][-1] = MAX_SEGMENTS + 1
+        data["thresholds"] = [b / (MAX_SEGMENTS + 1) for b in data["boundaries"]]
+        with pytest.raises(ValidationError, match="more than"):
+            plan_from_dict(data)
         PlbfFilter(make_plan(boundaries=(0, 2, MAX_SEGMENTS)), (None, None))
 
 

@@ -247,7 +247,7 @@ class TestBuildConfig:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValidationError):
             BuildConfig(framework="fpr", n_segments=10, n_regions=1, target_fpr=0.1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"below n_segments \(3 >= 3\)"):
             BuildConfig(framework="fpr", n_segments=3, n_regions=3, target_fpr=0.1)
 
     def test_rejects_more_segments_than_a_filter_can_route(self):
@@ -279,10 +279,9 @@ class TestBuildConfig:
         assert cfg.effective_scaled_keys(d) == pytest.approx(100 * LOG2_E)
 
     def test_zero_key_count_needs_explicit_scaling(self):
-        d = SegmentedDistribution.from_masses([1, 1, 1], [1, 1, 1], n_keys=0)
-        cfg = BuildConfig(framework="fpr", n_segments=3, n_regions=2, target_fpr=0.1)
-        with pytest.raises(ValidationError):
-            cfg.effective_scaled_keys(d)
+        # a distribution refuses a key count below 1, so every one it holds scales
+        with pytest.raises(ValidationError, match="n_keys must be at least 1"):
+            SegmentedDistribution.from_masses([1, 1, 1], [1, 1, 1], n_keys=0)
 
     def test_require_matching(self):
         d = SegmentedDistribution.from_masses([1, 1, 1], [1, 1, 1], n_keys=10)

@@ -37,7 +37,7 @@ import hashlib
 import math
 import struct
 
-from .errors import ValidationError, as_integer
+from .errors import ValidationError, as_integer, as_real
 
 LOG2_E = math.log2(math.e)
 _LN2 = math.log(2.0)
@@ -66,17 +66,19 @@ def bits_for(n_keys: int, fpr: float) -> int:
     ``ceil(n_keys * log2(1/fpr) * log2 e)``; a rate of 1 or an empty key set
     needs no bits at all (such a region stores nothing and answers true).
     """
+    n_keys, rate = as_integer("n_keys", n_keys), as_real(fpr)
     if n_keys < 0:
         raise ValidationError("n_keys must be nonnegative")
-    if not (0.0 < fpr <= 1.0):
+    if not (0.0 < rate <= 1.0):
         raise ValidationError(f"fpr must be in (0, 1], got {fpr!r}")
-    if fpr == 1.0 or n_keys == 0:
+    if rate == 1.0 or n_keys == 0:
         return 0
-    return math.ceil(n_keys * math.log2(1.0 / fpr) * LOG2_E)
+    return math.ceil(n_keys * math.log2(1.0 / rate) * LOG2_E)
 
 
 def hashes_for(n_keys: int, n_bits: int) -> int:
     """Probe count minimizing the false-positive rate: round(ln2 * m / n), at least 1."""
+    n_keys, n_bits = as_integer("n_keys", n_keys), as_integer("n_bits", n_bits)
     if n_keys < 1 or n_bits < 1:
         raise ValidationError("hashes_for needs positive key and bit counts")
     return max(1, round(_LN2 * n_bits / n_keys))

@@ -30,6 +30,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .bloom import check_seed
 from .errors import ValidationError, as_integer, as_real
 
 CSV_HEADER = ("element_id", "score", "label")
@@ -262,8 +263,9 @@ class SyntheticSpec:
     non-decreasing across segments; non-key mass mirrors it non-increasing.
     ``n_swaps`` then exchanges adjacent segments at uniformly drawn positions,
     which dials in how far the artifact sits from the ideal shape.  The
-    counts are integers, stored as ints (numpy integers pass), and the
-    exponent a positive, finite real, stored as a float.
+    counts are integers, stored as ints (numpy integers pass), the seed is
+    one :func:`bloom.check_seed` takes, and the exponent a positive, finite
+    real, stored as a float.
     """
 
     n_segments: int
@@ -285,6 +287,7 @@ class SyntheticSpec:
             raise ValidationError("zipf_exponent must be a positive, finite real")
         if self.n_swaps < 0:
             raise ValidationError("n_swaps must be nonnegative")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _zipf_base(n_segments: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +331,7 @@ def apply_swaps(dist: SegmentedDistribution, n_swaps: int, seed: int) -> Segment
     segments i and i + 1 wholesale, so the multiset of (g, h) pairs is
     preserved.  ``n_swaps == 0`` returns the input unchanged.
     """
+    n_swaps, seed = as_integer("n_swaps", n_swaps), check_seed(seed)
     if n_swaps < 0:
         raise ValidationError("n_swaps must be nonnegative")
     if n_swaps == 0:
@@ -394,7 +398,7 @@ def sample_records(
     n_keys, n_nonkeys = as_integer("n_keys", n_keys), as_integer("n_nonkeys", n_nonkeys)
     if n_keys < 0 or n_nonkeys < 0:
         raise ValidationError("n_keys and n_nonkeys must be nonnegative")
-    rng = _rng(seed)
+    rng = _rng(check_seed(seed))
     out: list[ScoreRecord] = []
     if n_keys:
         counts = rng.multinomial(n_keys, dist.g / dist.g.sum())

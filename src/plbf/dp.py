@@ -83,6 +83,7 @@ def divergence(dist: SegmentedDistribution, first: int, last: int) -> float:
     non-key mass, or a G / H that overflows, returns +inf (such a region
     would need no filter at all); a G / H that underflows to 0 returns -inf.
     """
+    first, last = as_integer("first", first), as_integer("last", last)
     if not (1 <= first <= last <= dist.n_segments):
         raise ValidationError(
             f"segment range {first}..{last} out of bounds for {dist.n_segments} segments"
@@ -399,11 +400,16 @@ def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
     have no clustering and get no row; the other rows keep the order of
     ``starts``.  The walk back is one gather of ``parents`` per region.
 
-    A start or region count outside the table raises ValidationError.  A
-    parent that does not begin a nonempty region inside its prefix, or a
-    chain that does not end at the empty prefix, raises InfeasibleError.
+    A start or region count that is not an integer, or lies outside the
+    table, raises ValidationError.  A parent that does not begin a nonempty
+    region inside its prefix, or a chain that does not end at the empty
+    prefix, raises InfeasibleError.
     """
-    p = np.asarray(starts, dtype=np.int64) - 1
+    p = np.asarray(starts)
+    if p.dtype.kind not in "iu":  # a list of Python ints arrives as int64
+        p = np.array([as_integer("start", s) for s in starts], dtype=np.int64)
+    p = p.astype(np.int64, copy=False) - 1
+    n_regions = as_integer("n_regions", n_regions)
     q = n_regions - 1
     outside = (p < 0) | (p >= table.n_rows)
     if outside.any() or not 0 <= q < table.n_cols:

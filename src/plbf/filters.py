@@ -22,7 +22,7 @@ import numpy as np
 
 from .bloom import _MASK64, BloomFilter, bits_for, check_seed, hashes_for
 from .distribution import ScoreColumns, segment_indices
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 from .optimizer import RegionPlan, plan_from_dict, plan_to_dict
 
 _MAGIC = b"PLBF"
@@ -33,7 +33,7 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 def region_seed(seed: int, region: int) -> int:
     """Per-region hash seed: distinct regions must probe independently."""
-    return (seed ^ ((region + 1) * _SEED_STRIDE)) & _MASK64
+    return (check_seed(seed) ^ ((as_integer("region", region) + 1) * _SEED_STRIDE)) & _MASK64
 
 
 def _empty_kind(rate: float) -> str:
@@ -241,8 +241,6 @@ def load_filter(path) -> PlbfFilter:
         raise ValidationError(f"filter header missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed filter header: {exc}") from exc
-    if not isinstance(algorithm, str):
-        raise ValidationError(f"filter header algorithm must be a string, got {algorithm!r}")
     plan = plan_from_dict(plan_doc, algorithm=algorithm)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError("filter header regions must be a list of objects")

@@ -33,6 +33,8 @@ layouts whose ranked score lies within the proven ``RANK_RTOL`` bound of the
 best.  The exact solve sums each row left to right and takes ``math.log2``
 and ``2.0 **`` entry by entry, so the plan holds the rates and objective a
 one-layout call gives the winner, to the bit, whatever numpy's SIMD dispatch.
+The settle, the all-infeasible path and the oracle share that one exact
+solve, ``_rates_and_score``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from math import inf, log2, nan
 
@@ -118,6 +121,7 @@ class RegionPlan:
     each mass vector sums to 1 within ``MASS_SUM_TOLERANCE``.  A
     rate of exactly 1.0 marks a region that stores nothing and answers true;
     clamping inside the rate optimizers is the only way a region earns it.
+    Counts are stored as ints and reals as floats (numpy scalars pass).
     """
 
     n_regions: int
@@ -130,7 +134,11 @@ class RegionPlan:
     algorithm: str
 
     def __post_init__(self) -> None:
-        k = self.n_regions
+        given = dict(self.__dict__)  # as passed: a message shows the value given
+        store = partial(object.__setattr__, self)
+        k = as_integer("n_regions", self.n_regions)
+        store("n_regions", k)
+        store("boundaries", tuple(as_integer("boundary", b) for b in self.boundaries))
         if k < 1 or len(self.boundaries) != k + 1:
             raise ValidationError("boundaries must have n_regions + 1 entries")
         if self.boundaries[0] != 0:
@@ -139,23 +147,28 @@ class RegionPlan:
             raise ValidationError("boundaries must be strictly increasing")
         if self.n_segments > MAX_SEGMENTS:
             raise ValidationError(f"plan has {self.n_segments} segments, more than {MAX_SEGMENTS}")
-        for name, masses in (("key_mass", self.key_mass), ("nonkey_mass", self.nonkey_mass)):
-            if len(masses) != k:
+        for name in ("key_mass", "nonkey_mass", "fprs"):
+            if len(given[name]) != k:
                 raise ValidationError(f"{name} must have one entry per region")
+            store(name, tuple(map(as_real, given[name])))
+        for name, masses in (("key_mass", self.key_mass), ("nonkey_mass", self.nonkey_mass)):
             if not all(0.0 <= x < inf for x in masses):
-                raise ValidationError(f"{name} must be finite and nonnegative")
+                raise ValidationError(
+                    f"{name} must be finite and nonnegative, got {given[name]!r}"
+                )
             if abs(sum(masses) - 1.0) > MASS_SUM_TOLERANCE:
                 raise ValidationError(f"{name} must sum to 1")
-        if len(self.fprs) != k:
-            raise ValidationError("fprs must have one entry per region")
         if any(not (0.0 < f <= 1.0) for f in self.fprs):
-            raise ValidationError("every region rate must lie in (0, 1]")
+            raise ValidationError(f"every region rate must lie in (0, 1], got {given['fprs']!r}")
+        store("objective", as_real(self.objective))
         if not (0.0 <= self.objective < inf):
             raise ValidationError(
-                f"plan objective must be finite and nonnegative, got {self.objective!r}"
+                f"plan objective must be finite and nonnegative, got {given['objective']!r}"
             )
         if self.framework not in FRAMEWORKS:
             raise ValidationError(f"unknown framework {self.framework!r}")
+        if not isinstance(self.algorithm, str):
+            raise ValidationError(f"plan algorithm must be a string, got {self.algorithm!r}")
 
     @property
     def n_segments(self) -> int:
@@ -339,12 +352,13 @@ def optimal_fprs_for_fpr(
     :class:`InfeasibleError` alone and gets a row of NaN in a batch.
     """
     g, h, batch = _positive_masses(key_mass, nonkey_mass)
-    if not (0.0 < target_fpr < 1.0):
+    target = as_real(target_fpr)
+    if not (0.0 < target < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
 
     def closed_form(rows, free, head_room, h_clamped):
-        budget = target_fpr - h_clamped
-        feasible = np.where(free.any(axis=1), budget > 0.0, h_clamped <= target_fpr)
+        budget = target - h_clamped
+        feasible = np.where(free.any(axis=1), budget > 0.0, h_clamped <= target)
         return budget, head_room, feasible
 
     fprs, clamped, _, h_clamped = _clamped_rates(
@@ -355,14 +369,22 @@ def optimal_fprs_for_fpr(
         if clamped[0].all():
             return InfeasibleError(
                 f"clamped regions alone carry rate {h_clamped[0]:.6g} > "
-                f"target {target_fpr:.6g}"
+                f"target {target:.6g}"
             )
         return InfeasibleError(
-            f"cannot meet target rate {target_fpr:.6g}: clamped regions "
+            f"cannot meet target rate {target:.6g}: clamped regions "
             f"already carry {h_clamped[0]:.6g}"
         )
 
     return _one_or_batch(fprs, batch, error)
+
+
+def _scaled(scaled_keys) -> float:
+    """The scaled key count c|S| as a float, else a ValidationError if not positive."""
+    scaled = as_real(scaled_keys)
+    if not (scaled > 0):
+        raise ValidationError(f"scaled_keys must be positive, got {scaled_keys!r}")
+    return scaled
 
 
 def _pow2(exponents: np.ndarray) -> np.ndarray:
@@ -415,13 +437,12 @@ def optimal_fprs_for_memory(
     alone and gets a row of NaN in a batch.
     """
     g, h, batch = _positive_masses(key_mass, nonkey_mass)
-    if memory_bits < 0:
-        raise ValidationError("memory_bits must be nonnegative")
-    if not (scaled_keys > 0):
-        raise ValidationError("scaled_keys must be positive")
-    fprs, _, g_clamped = _memory_rates(g, h, memory_bits, scaled_keys, _log2, _pow2)
+    bits = as_real(memory_bits)
+    if not (bits >= 0):
+        raise ValidationError(f"memory_bits must be nonnegative, got {memory_bits!r}")
+    fprs, _, g_clamped = _memory_rates(g, h, bits, _scaled(scaled_keys), _log2, _pow2)
     return _one_or_batch(fprs, batch, lambda: InfeasibleError(
-        f"cannot spend {memory_bits:.6g} bits: clamped regions "
+        f"cannot spend {bits:.6g} bits: clamped regions "
         f"already carry key mass {g_clamped[0]:.6g}"
     ))
 
@@ -432,7 +453,7 @@ def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
     One layout's masses and rates give a float; a (layouts x regions) batch
     gives one total per row, NaN where the row's rates are NaN.
     """
-    return _memory_bits(key_mass, fprs, scaled_keys, _log2)
+    return _memory_bits(key_mass, fprs, _scaled(scaled_keys), _log2)
 
 
 def _memory_bits(key_mass, fprs, scaled_keys: float, log2) -> float | np.ndarray:
@@ -479,43 +500,33 @@ def _ranked_pow2(exponents: np.ndarray) -> np.ndarray:
 
 
 def _ranked_scores(config, scaled, key_mass, nonkey_mass):
-    """Each layout's score with numpy's log2 and exp2, and the exact solve.
+    """Each layout's score with numpy's log2 and exp2.
 
     A ranked score lies within the RANK_ bounds of the exact one, or is NaN.
-    The exact solve takes an index array of layouts and returns their rates
-    and scores.
     """
     if config.framework == "fpr":
         # these rates hold no log or pow, so they are the exact ones already
         fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
-
-        def exact(rows):
-            return fprs[rows], bloom_memory_bits(key_mass[rows], fprs[rows], scaled)
-
-        return _memory_bits(key_mass, fprs, scaled, np.log2), exact
+        return _memory_bits(key_mass, fprs, scaled, np.log2)
     fprs, clamped, g_clamped = _memory_rates(
         key_mass, nonkey_mass, config.memory_bits, scaled, np.log2, _ranked_pow2
     )
     # RANK_RTOL's bound holds while the free key mass is at most twice the head room
     fprs[_row_sums(key_mass, ~clamped) > 2.0 * (1.0 - g_clamped)] = nan
-
-    def exact(rows):
-        return _rates_and_score(config, scaled, key_mass[rows], nonkey_mass[rows])
-
-    return expected_fpr(nonkey_mass, fprs), exact
+    return expected_fpr(nonkey_mass, fprs)
 
 
 def _settled_winner(config, scaled, key_mass, nonkey_mass):
     """The batch's layout of lowest exact score: its row, rates and score, or None.
 
     Every layout is ranked by :func:`_ranked_scores`; only the ones that can
-    still win are settled, by the exact solve.  First those within the
+    still win are settled, by :func:`_rates_and_score`.  First those within the
     RANK_ bounds of the lowest ranked score, or ranked NaN; then any others
     within the bounds of the best exact score found, which is every other
     layout when none settled so far is feasible.  Ties go to the smallest
     row, and None means that no layout is feasible.
     """
-    ranked, exact = _ranked_scores(config, scaled, key_mass, nonkey_mass)
+    ranked = _ranked_scores(config, scaled, key_mass, nonkey_mass)
     slack = 1.0 + 2.0 * config.n_regions * RANK_RTOL
     pending = np.ones(len(ranked), dtype=bool)
     bound = np.min(ranked, initial=inf, where=~np.isnan(ranked))
@@ -525,7 +536,7 @@ def _settled_winner(config, scaled, key_mass, nonkey_mass):
         if not rows.size:
             return best
         pending[rows] = False
-        fprs, scores = exact(rows)
+        fprs, scores = _rates_and_score(config, scaled, key_mass[rows], nonkey_mass[rows])
         feasible = np.flatnonzero(~np.isnan(scores))
         if feasible.size:
             i = feasible[np.argmin(scores[feasible])]
@@ -626,11 +637,11 @@ def solve_timed(
     best, fprs, score = winner  # ties go to the smallest start
     plan = RegionPlan(
         n_regions=k,
-        boundaries=tuple(bounds[best].tolist()),
-        fprs=tuple(fprs.tolist()),
-        key_mass=tuple(key_mass[best].tolist()),
-        nonkey_mass=tuple(nonkey_mass[best].tolist()),
-        objective=float(score),
+        boundaries=bounds[best],
+        fprs=fprs,
+        key_mass=key_mass[best],
+        nonkey_mass=nonkey_mass[best],
+        objective=score,
         framework=config.framework,
         algorithm=config.algorithm,
     )
@@ -641,23 +652,23 @@ def solve_timed(
 def plan_to_dict(plan: RegionPlan) -> dict:
     """JSON-ready view of a plan.
 
-    Counts are JSON integers and every other number a JSON real, whatever
-    types the plan holds, so :func:`plan_from_dict` reads back an equal plan.
+    Counts are JSON integers and every other number a JSON real, so
+    :func:`plan_from_dict` reads back an equal plan.
     Thresholds are also given as score-space reals (boundary / n_segments).
     Algorithm and timing are envelope concerns: two algorithms returning the
     same plan serialize identically here.
     """
-    n = int(plan.n_segments)
+    n = plan.n_segments
     return {
         "framework": plan.framework,
-        "n_regions": int(plan.n_regions),
+        "n_regions": plan.n_regions,
         "n_segments": n,
-        "boundaries": [int(b) for b in plan.boundaries],
+        "boundaries": list(plan.boundaries),
         "thresholds": [b / n for b in plan.boundaries],
-        "fprs": [float(f) for f in plan.fprs],
-        "key_mass": [float(x) for x in plan.key_mass],
-        "nonkey_mass": [float(x) for x in plan.nonkey_mass],
-        "objective": float(plan.objective),
+        "fprs": list(plan.fprs),
+        "key_mass": list(plan.key_mass),
+        "nonkey_mass": list(plan.nonkey_mass),
+        "objective": plan.objective,
     }
 
 

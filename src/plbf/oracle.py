@@ -128,9 +128,9 @@ def exhaustive_plan(dist: SegmentedDistribution, config: BuildConfig) -> RegionP
     return RegionPlan(
         n_regions=k,
         boundaries=bounds,
-        fprs=tuple(fprs),
-        key_mass=tuple(key_mass),
-        nonkey_mass=tuple(nonkey_mass),
+        fprs=fprs,
+        key_mass=key_mass,
+        nonkey_mass=nonkey_mass,
         objective=score,
         framework=config.framework,
         algorithm="exhaustive",

@@ -23,8 +23,8 @@ class TestSizing:
         assert bits_for(0, 0.5) == 0
 
     def test_rejects_bad_rates(self):
-        for bad in (0.0, -0.1, 1.5, float("nan")):
-            with pytest.raises(ValidationError):
+        for bad in (0.0, -0.1, 1.5, float("nan"), "0.1", None):
+            with pytest.raises(ValidationError, match=r"fpr must be in \(0, 1\]"):
                 bits_for(10, bad)
 
     def test_rejects_negative_keys(self):
@@ -120,12 +120,22 @@ class TestBloomFilter:
         with pytest.raises(ValidationError):
             BloomFilter(8, 1, seed=1 << 64)
 
-    @pytest.mark.parametrize("counts, field", [
-        ((10.0, 3), "n_bits"), (("64", 3), "n_bits"), ((10, 2.5), "n_hashes"), ((10, "3"), "n_hashes"),
-    ], ids=["float-bits", "text-bits", "float-hashes", "text-hashes"])
-    def test_counts_must_be_integers(self, counts, field):
+    @pytest.mark.parametrize("make, field", [
+        (lambda: BloomFilter(10.0, 3), "n_bits"),
+        (lambda: BloomFilter("64", 3), "n_bits"),
+        (lambda: BloomFilter(10, 2.5), "n_hashes"),
+        (lambda: BloomFilter(10, "3"), "n_hashes"),
+        (lambda: bits_for(2.5, 0.1), "n_keys"),
+        (lambda: bits_for("5", 0.1), "n_keys"),
+        (lambda: hashes_for(2.5, 10), "n_keys"),
+        (lambda: hashes_for(10, 2.5), "n_bits"),
+        (lambda: BloomFilter.for_capacity(2.5, 0.1), "n_keys"),
+    ], ids=["float-bits", "text-bits", "float-hashes", "text-hashes", "bits-for-float-keys",
+            "bits-for-text-keys", "hashes-for-float-keys", "hashes-for-float-bits",
+            "for-capacity-float-keys"])
+    def test_counts_must_be_integers(self, make, field):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
-            BloomFilter(*counts)
+            make()
         numpy_counted = BloomFilter(np.int64(64), np.uint8(3))
         assert numpy_counted == BloomFilter(64, 3)
         assert type(numpy_counted.n_bits) is int and type(numpy_counted.n_hashes) is int

@@ -338,14 +338,17 @@ class TestSampleRecords:
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
         assert sample_records(d, 30, 30, seed=8) == sample_records(d, 30, 30, seed=8)
 
-    @pytest.mark.parametrize("field", ["n_keys", "n_nonkeys"])
+    @pytest.mark.parametrize("draw, field", [
+        (lambda d, n: sample_records(d, n, 0, seed=1), "n_keys"),
+        (lambda d, n: sample_records(d, 0, n, seed=1), "n_nonkeys"),
+        (lambda d, n: apply_swaps(d, n, seed=1), "n_swaps"),
+    ], ids=["n_keys", "n_nonkeys", "n_swaps"])
     @pytest.mark.parametrize("value", [2.5, "3", -1])
-    def test_rejects_a_count_that_is_not_a_nonnegative_integer(self, field, value):
+    def test_rejects_a_count_that_is_not_a_nonnegative_integer(self, draw, field, value):
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
-        counts = {"n_keys": 0, "n_nonkeys": 0, field: value}
         expected = "must be nonnegative" if value == -1 else f"{field} must be an integer"
         with pytest.raises(ValidationError, match=expected):
-            sample_records(d, counts["n_keys"], counts["n_nonkeys"], seed=1)
+            draw(d, value)
 
     def test_nonkeys_only(self):
         d = zipfian_distribution(SyntheticSpec(20, 10, 10))
@@ -465,6 +468,20 @@ class TestSyntheticSpecValidation:
         counts = dict(n_segments=50, n_keys=10, n_nonkeys=10, n_swaps=0)
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             SyntheticSpec(**{**counts, field: value})
+
+    @pytest.mark.parametrize("draw", [
+        lambda d, seed: synthesize_records(SyntheticSpec(20, 10, 10, n_swaps=1, seed=seed)),
+        lambda d, seed: apply_swaps(d, 1, seed),
+        lambda d, seed: sample_records(d, 1, 1, seed),
+    ], ids=["synthetic-spec", "apply-swaps", "sample-records"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must fit in 64 bits"), (1 << 64, "seed must fit in 64 bits"),
+        ("x", "seed must be an integer, got 'x'"), (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "past-64-bits", "text", "fractional"])
+    def test_every_seed_is_checked_where_it_is_taken(self, draw, seed, message):
+        d = zipfian_distribution(SyntheticSpec(20, 10, 10))
+        with pytest.raises(ValidationError, match=message):
+            draw(d, seed)
 
     def test_takes_numpy_integer_counts_as_ints(self):
         spec = SyntheticSpec(np.int64(50), np.int32(10), np.uint8(10), n_swaps=np.int64(3))

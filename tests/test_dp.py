@@ -79,7 +79,7 @@ class TestDivergence:
 
     def test_rejects_bad_ranges(self):
         d = dyadic_dist()
-        for first, last in ((0, 1), (2, 1), (1, 4), (4, 4)):
+        for first, last in ((0, 1), (2, 1), (1, 4), (4, 4), (1.5, 2), (1, "2")):
             with pytest.raises(ValidationError):
                 divergence(d, first, last)
 
@@ -211,17 +211,21 @@ class TestTraceBoundaries:
         with pytest.raises(ValidationError, match=r"cell \(8, 2\) outside table of shape \(6, 3\)"):
             trace_layouts(table, [9], 3)
 
-    @pytest.mark.parametrize("starts, n_regions, cell", [
-        ([0], 3, "(-1, 2)"),
-        ([3, 7], 3, "(6, 2)"),
-        ([3], 4, "(2, 3)"),
-        ([3], 0, "(2, -1)"),
-        ([], 5, "(0, 4)"),
-    ], ids=["start-0", "start-past-end", "too-many-regions", "no-regions", "no-starts"])
-    def test_every_start_and_region_count_is_checked(self, starts, n_regions, cell):
+    @pytest.mark.parametrize("starts, n_regions, message", [
+        ([0], 3, "cell (-1, 2) outside table"),
+        ([3, 7], 3, "cell (6, 2) outside table"),
+        ([3], 4, "cell (2, 3) outside table"),
+        ([3], 0, "cell (2, -1) outside table"),
+        ([], 5, "cell (0, 4) outside table"),
+        ([3], 2.5, "n_regions must be an integer, got 2.5"),
+        ([3.7], 2, "start must be an integer, got 3.7"),
+        ([3, 2.0], 2, "start must be an integer, got 2.0"),
+    ], ids=["start-0", "start-past-end", "too-many-regions", "no-regions", "no-starts",
+            "fractional-regions", "fractional-start", "float-start"])
+    def test_every_start_and_region_count_is_checked(self, starts, n_regions, message):
         d = random_distribution(np.random.default_rng(7), 6)
         table = divergence_table(d, 3)
-        with pytest.raises(ValidationError, match=re.escape(f"cell {cell} outside table")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             trace_layouts(table, starts, n_regions)
 
     def test_parent_past_its_row_raises(self):

@@ -323,12 +323,19 @@ class TestConstructorValidation:
     def test_seed_range(self):
         with pytest.raises(ValidationError):
             PlbfFilter(make_plan(), (None, None), seed=-1)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValidationError, match="seed must fit in 64 bits"):
+                region_seed(seed, 0)
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="seed must be an integer"):
             PlbfFilter(make_plan(), (None, None), seed=1.5)
         with pytest.raises(ValidationError, match="seed must be an integer"):
             build_filter(key_records(10, 0.0, 0.49), make_plan(), seed=1.5)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            region_seed(1.5, 0)
+        with pytest.raises(ValidationError, match="region must be an integer"):
+            region_seed(0, 1.5)
 
     @pytest.mark.parametrize("seed", [3, (1 << 64) - 1])
     def test_numpy_integer_seed_builds_the_int_seed_filter(self, seed):

@@ -210,6 +210,21 @@ def test_rate_solvers_reject_masses_that_are_not_finite(solver, key_mass, nonkey
         solver(key_mass, nonkey_mass)
 
 
+@pytest.mark.parametrize("solver, message", [
+    (lambda g, h: optimal_fprs_for_fpr(g, h, "0.1"), r"target_fpr must be in \(0, 1\), got '0.1'"),
+    (lambda g, h: optimal_fprs_for_fpr(g, h, None), r"target_fpr must be in \(0, 1\), got None"),
+    (lambda g, h: optimal_fprs_for_memory(g, h, "5", 10.0), "memory_bits must be nonnegative, got '5'"),
+    (lambda g, h: optimal_fprs_for_memory(g, h, math.nan, 10.0), "memory_bits must be nonnegative"),
+    (lambda g, h: optimal_fprs_for_memory(g, h, 5.0, "1"), "scaled_keys must be positive, got '1'"),
+    (lambda g, h: bloom_memory_bits(g, [0.1, 0.2], "x"), "scaled_keys must be positive, got 'x'"),
+], ids=["fpr-text", "fpr-none", "memory-text-bits", "memory-nan-bits", "memory-text-scale",
+        "bits-text-scale"])
+def test_rate_solvers_reject_reals_that_are_not_real_numbers(solver, message):
+    # each reads its real through as_real once: text and None become NaN, which no range holds
+    with pytest.raises(ValidationError, match=message):
+        solver([0.5, 0.5], [0.5, 0.5])
+
+
 class TestSpaceAndRate:
     def test_memory_formula(self):
         assert bloom_memory_bits([1.0], [0.5], 1000.0) == 1000.0
@@ -357,6 +372,35 @@ class TestRegionPlanValidation:
     def test_rejects_objective_that_is_not_finite_and_nonnegative(self, objective):
         with pytest.raises(ValidationError, match="objective"):
             self._plan(objective=objective)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_regions", 2.0, "n_regions must be an integer, got 2.0"),
+        ("boundaries", (0, 2.0, 4), "boundary must be an integer, got 2.0"),
+        ("boundaries", (0, 1.5, 4), "boundary must be an integer, got 1.5"),
+        ("fprs", ("0.1", 0.2), r"rate must lie in \(0, 1\], got \('0.1', 0.2\)"),
+        ("key_mass", (None, 0.5), r"key_mass must be finite and nonnegative, got \(None, 0.5\)"),
+        ("nonkey_mass", ("0.5", 0.5), r"nonkey_mass must be finite and nonnegative, got \('0.5'"),
+        ("objective", "1", "objective must be finite and nonnegative, got '1'$"),
+        ("objective", None, "objective must be finite and nonnegative, got None"),
+        ("algorithm", None, "plan algorithm must be a string, got None"),
+    ], ids=["float-n-regions", "float-boundary", "fractional-boundary", "text-rate",
+            "none-key-mass", "text-nonkey-mass", "text-objective", "none-objective",
+            "none-algorithm"])
+    def test_rejects_numbers_and_names_of_the_wrong_type(self, field, value, message):
+        # as_real reads text as NaN: the message shows the value given, not nan
+        with pytest.raises(ValidationError, match=message):
+            self._plan(**{field: value})
+
+    def test_stores_plain_ints_and_floats(self):
+        plan = self._plan(
+            n_regions=np.int64(2), boundaries=np.array([0, 2, 4]), fprs=np.array([0.1, 0.2]),
+            key_mass=np.array([0.5, 0.5]), nonkey_mass=[np.float32(0.5), 0.5],
+            objective=np.float64(1.0),
+        )
+        assert plan == self._plan()
+        assert type(plan.n_regions) is int and type(plan.objective) is float
+        assert {type(b) for b in plan.boundaries} == {int}
+        assert {type(x) for x in plan.fprs + plan.key_mass + plan.nonkey_mass} == {float}
 
     def test_rejects_unknown_framework(self):
         with pytest.raises(ValidationError):
@@ -637,10 +681,7 @@ class TestRankThenSettle:
         _, scores = self.exact(config, self.KEY_MASS, self.NONKEY_MASS)
         ranks = scores.copy()
         ranks[np.argmax(scores)] = scores.min() / 4
-        ranked_scores = optimizer._ranked_scores
-        monkeypatch.setattr(
-            optimizer, "_ranked_scores", lambda *args: (ranks, ranked_scores(*args)[1])
-        )
+        monkeypatch.setattr(optimizer, "_ranked_scores", lambda *args: ranks)
         assert self.settle(config, self.KEY_MASS, self.NONKEY_MASS)[0] == 1
 
     def test_a_ranked_lowest_layout_that_is_infeasible_does_not_end_the_sweep(
@@ -653,10 +694,7 @@ class TestRankThenSettle:
         _, scores = self.exact(config, key_mass, nonkey_mass)
         assert np.isnan(scores[0]) and scores[2] < scores[1]
         ranks = np.array([1.0, 2.0, 3.0])
-        ranked_scores = optimizer._ranked_scores
-        monkeypatch.setattr(
-            optimizer, "_ranked_scores", lambda *args: (ranks, ranked_scores(*args)[1])
-        )
+        monkeypatch.setattr(optimizer, "_ranked_scores", lambda *args: ranks)
         assert self.settle(config, key_mass, nonkey_mass)[0] == 2
 
     def test_a_layout_ranked_nan_but_exactly_feasible_is_settled(self):
@@ -666,7 +704,7 @@ class TestRankThenSettle:
         layouts = np.array([[0, 2, 5], [0, 3, 6], [0, 1, 7]])
         key_mass, nonkey_mass = d.masses(layouts, np.c_[layouts[:, 1:], [8, 8, 8]])
         scaled = config.effective_scaled_keys(d)
-        ranked, _ = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
+        ranked = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
         assert np.isnan(ranked).all()
         _, scores = optimizer._rates_and_score(config, scaled, key_mass, nonkey_mass)
         assert not np.isnan(scores).any()
@@ -674,11 +712,17 @@ class TestRankThenSettle:
         assert plan.fprs == (FPR_FLOOR,) * 3
         assert plan.boundaries == exhaustive_plan(d, config).boundaries
 
-    def test_an_all_infeasible_sweep_settles_every_layout(self, monkeypatch):
+    @pytest.mark.parametrize("config, error", [
+        (BuildConfig("fpr", 4, 3, algorithm="fast", target_fpr=0.01),
+         "cannot meet target rate 0.01"),
+        (BuildConfig("memory", 4, 3, algorithm="fast", memory_bits=1e-8),
+         "cannot spend 1e-08 bits"),
+    ], ids=["fpr", "memory"])
+    def test_an_all_infeasible_sweep_settles_every_layout(self, monkeypatch, config, error):
         # the first ones' error is then raised, as
-        # test_when_every_layout_is_infeasible_the_first_ones_error_is_raised asserts
+        # test_when_every_layout_is_infeasible_the_first_ones_error_is_raised
+        # asserts; both frameworks settle through the one exact solve
         d = SegmentedDistribution.from_masses([1, 0, 0, 0], [0, 0, 0, 1], n_keys=1000)
-        config = BuildConfig("memory", 4, 3, algorithm="fast", memory_bits=1e-8)
         settled = []
         exact = optimizer._rates_and_score
 
@@ -687,7 +731,7 @@ class TestRankThenSettle:
             return exact(config, scaled, key_mass, nonkey_mass)
 
         monkeypatch.setattr(optimizer, "_rates_and_score", spy)
-        with pytest.raises(InfeasibleError, match="cannot spend 1e-08 bits"):
+        with pytest.raises(InfeasibleError, match=error):
             solve(d, config)
         assert settled == [2, 1]  # both layouts, then the first one alone
 

@@ -536,7 +536,7 @@ def test_sweep_picks_the_all_exact_argmin(case):
                 plan, error = None, str(exc)
             [(_, scaled, key_mass, nonkey_mass)] = batches
             fprs, scores = exact_scores(config, scaled, key_mass, nonkey_mass)
-            ranked, _ = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
+            ranked = optimizer._ranked_scores(config, scaled, key_mass, nonkey_mass)
             both = ~np.isnan(ranked) & ~np.isnan(scores)
             slack = config.n_regions * optimizer.RANK_RTOL * scores + optimizer.RANK_ATOL
             assert (np.abs(ranked - scores) <= slack)[both].all(), config

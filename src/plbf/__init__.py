@@ -33,6 +33,7 @@ from .dp import (
     divergence,
     divergence_table,
     divergence_table_monotone,
+    level_schedule,
     monotone_row_maxima,
     trace_layouts,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "expected_fpr",
     "hashes_for",
     "is_ideal",
+    "level_schedule",
     "load_filter",
     "monotone_row_maxima",
     "naive_row_maxima",

@@ -169,7 +169,7 @@ class SegmentedDistribution:
         for arr in (g, h, self.g_prefix, self.h_prefix):
             arr.setflags(write=False)
 
-    def masses(self, lo, hi, out=None):
+    def masses(self, lo, hi, out=None, runs=None):
         """Key and non-key masses of the regions of 1-based segments lo+1..hi.
 
         ``lo`` and ``hi`` are numpy indices into the prefix arrays (ints,
@@ -178,8 +178,23 @@ class SegmentedDistribution:
         for ``h``.  Given ``out``, a pair of float64 arrays of the broadcast
         shape, the two differences are written there and that pair is
         returned.
+
+        Given ``runs``, the run form: ``lo`` is a 1-D index array and ``hi``
+        holds one index per run of ``runs[i]`` consecutive entries of ``lo``,
+        so each ``hi`` entry is read once and repeated across its run.
+
+        Given ``hi=None``, the boundary form: ``lo`` holds boundaries along
+        its first axis, and region i runs from ``lo[i]`` to ``lo[i + 1]``,
+        so each boundary is read once; the masses have one row fewer.
         """
         gp, hp = self.g_prefix, self.h_prefix
+        if hi is None:
+            return np.diff(gp[lo], axis=0), np.diff(hp[lo], axis=0)
+        if runs is not None:
+            g, h = gp[hi].repeat(runs), hp[hi].repeat(runs)
+            g -= gp[lo]
+            h -= hp[lo]
+            return g, h
         if out is None:
             return gp[hi] - gp[lo], hp[hi] - hp[lo]
         np.subtract(gp[hi], gp[lo], out=out[0])

@@ -21,12 +21,15 @@ Two builders produce these tables:
 * :func:`divergence_table_monotone` treats each column update as a row-maxima
   problem on an implicit candidate matrix and solves it by divide and
   conquer in O(N log N) evaluations per column, evaluated one recursion
-  level at a time: O(log N) array calls per column.  Each column's maxima
-  and argmax columns arrive as arrays, written by
-  :func:`monotone_row_maxima` into one pair of buffers the table reuses.
-  Exact when the candidate matrices are monotone (argmax column
-  non-decreasing by row), which holds whenever the score distribution is
-  ideal; otherwise entries can fall below the exhaustive table, never above.
+  level at a time.  The recursion's row ranges depend only on N, so the
+  table computes them once, with :func:`level_schedule`, and every searched
+  column walks the same O(log N) levels: one ``value`` call and a fixed
+  number of array calls each.  Each column's maxima and argmax columns
+  arrive as arrays, written by :func:`monotone_row_maxima` into one pair of
+  buffers the table reuses.  Exact when the candidate matrices are monotone
+  (argmax column non-decreasing by row), which holds whenever the score
+  distribution is ideal; otherwise entries can fall below the exhaustive
+  table, never above.
 
 Both builders score a region by one rule.  Its masses come from
 ``SegmentedDistribution.masses`` and its G * log2(G / H) from
@@ -107,14 +110,16 @@ def _divergence_rule(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def divergences(dist: SegmentedDistribution, lo, hi) -> np.ndarray:
+def divergences(dist: SegmentedDistribution, lo, hi, runs=None) -> np.ndarray:
     """:func:`divergence` of segments lo+1..hi, elementwise over index arrays.
 
-    The ranges are not checked.  The rule is the N x k slab's, ``np.log2``
-    and -inf for an underflowed G / H included, so an entry here equals the
-    slab's entry for the same region to the bit.
+    Given ``runs``, ``hi`` holds one index per run of ``runs[i]`` entries of
+    ``lo``, as in ``SegmentedDistribution.masses``.  The ranges are not
+    checked.  The rule is the N x k slab's, ``np.log2`` and -inf for an
+    underflowed G / H included, so an entry here equals the slab's entry for
+    the same region to the bit.
     """
-    g, h = dist.masses(lo, hi)
+    g, h = dist.masses(lo, hi, runs=runs)
     return _divergence_rule(g, np.asarray(h))
 
 
@@ -145,15 +150,17 @@ class DPTable:
 class MatrixLike(Protocol):
     """Evaluation contract for implicit matrices: entries on demand, no storage.
 
-    ``value`` works elementwise: given equal-shape integer arrays of rows and
-    columns it returns the float64 array of their entries, and given two
-    ints, one float.  Entries are never NaN.
+    ``value`` evaluates one recursion level of :func:`monotone_row_maxima`,
+    range by range: given integer arrays of rows, one per range, of column
+    counts, one per range, and of columns, ``counts[i]`` of them for range
+    i in order, it returns the float64 array of the entries (rows[i], col)
+    in the order of ``cols``.  Entries are never NaN.
     """
 
     row_count: int
     col_count: int
 
-    def value(self, row, col):  # pragma: no cover - protocol
+    def value(self, rows, counts, cols):  # pragma: no cover - protocol
         ...
 
 
@@ -166,7 +173,8 @@ class TransitionMatrix:
     the sum the full builder's scan makes.  Every cell is summed; starting
     past the end (col > row) is -inf, and so is +inf plus -inf, so an
     unreachable prefix stays unreachable and no entry is NaN.  An array
-    ``prev_column`` is read, not copied.
+    ``prev_column`` is read, not copied.  Each row's prefix masses are read
+    once per range and repeated across its columns.
     """
 
     __slots__ = ("_dist", "_prev", "row_count", "col_count")
@@ -177,17 +185,45 @@ class TransitionMatrix:
         self.row_count = dist.n_segments - 1
         self.col_count = dist.n_segments - 1
 
-    def value(self, row, col):
-        rows, cols = np.asarray(row), np.asarray(col)
+    def value(self, rows, counts, cols):
+        rows, counts, cols = np.asarray(rows), np.asarray(counts), np.asarray(cols)
         with np.errstate(invalid="ignore"):
-            out = divergences(self._dist, cols, rows + 1)
+            out = divergences(self._dist, cols, rows + 1, counts)
             out += self._prev[cols]
-        out[(cols > rows) | np.isnan(out)] = NEG_INF
-        return out if out.ndim else float(out)
+        out[(cols > rows.repeat(counts)) | np.isnan(out)] = NEG_INF
+        return out
+
+
+def level_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The row ranges of :func:`monotone_row_maxima` over ``n`` rows, level by level.
+
+    The recursion solves the range of rows 0..n-1 at its middle row
+    ``(r_lo + r_hi) >> 1`` and then the nonempty ranges above and below that
+    row, one level deeper; every row is the middle row of exactly one range.
+    Level d is ``(mid, r_lo, r_hi + 2)``, three arrays over the ranges at
+    depth d in row order: ``r_lo`` and ``r_hi + 2`` index the argmax slots
+    around the range, where slot r + 1 holds row r's argmax column and
+    slots 0 and n + 1 the edge columns.  The ranges depend on ``n`` alone,
+    so one schedule serves every matrix with ``n`` rows.
+    """
+    levels = []
+    r_lo, r_hi = np.zeros(1, np.intp), np.full(1, n - 1, np.intp)
+    while True:
+        keep = r_lo <= r_hi
+        r_lo, r_hi = r_lo[keep], r_hi[keep]
+        if not r_lo.size:
+            return levels
+        mid = (r_lo + r_hi) >> 1
+        levels.append((mid, r_lo, r_hi + 2))
+        # each range's rows above its middle row, then those below it
+        r_lo = np.stack((r_lo, mid + 1), axis=1).ravel()
+        r_hi = np.stack((mid - 1, r_hi), axis=1).ravel()
 
 
 def monotone_row_maxima(
-    matrix: MatrixLike, out: tuple[np.ndarray, np.ndarray] | None = None
+    matrix: MatrixLike,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    schedule: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[int, float]] | tuple[np.ndarray, np.ndarray]:
     """Per-row maximum and argmax column, assuming row argmaxes never decrease.
 
@@ -197,9 +233,11 @@ def monotone_row_maxima(
     smallest column.  On non-monotone input the result may be any column
     whose value is >= the entries the scan actually visited.
 
-    The recursion runs one level at a time: every pending (row range, column
-    range) segment contributes its middle row's cells to one
-    ``matrix.value`` call, so a solve makes O(log n) calls.
+    The recursion runs one level of ``schedule`` at a time, by default
+    :func:`level_schedule` of the row count: every range of a level
+    contributes its middle row's cells to one ``matrix.value`` call, so a
+    solve makes O(log n) calls.  A caller solving many matrices with n rows
+    passes one schedule to all of them.
 
     ``out``, a pair of length-n arrays (float64 values, int64 columns),
     receives each row's maximum and its argmax column, and is returned.
@@ -213,30 +251,22 @@ def monotone_row_maxima(
         best.fill(NEG_INF)
         args.fill(0)
     else:
-        # argmax[r + 1] is row r's argmax column once found: a pending row
-        # range r_lo..r_hi searches the columns from argmax[r_lo] to
-        # argmax[r_hi + 2], those of the rows around it, or of the edge
-        # columns 0 and m - 1
+        # slot r + 1 holds row r's argmax column once found: a range r_lo..r_hi
+        # searches the columns from slot r_lo to slot r_hi + 2, those of the
+        # rows around it, or the edge columns 0 and m - 1
         argmax = np.empty(n + 2, dtype=np.int64)
         argmax[0], argmax[-1] = 0, m - 1
-        r_lo, r_hi = np.array([0]), np.array([n - 1])
-        while r_lo.size:  # every row is the middle row of one range
-            mid = (r_lo + r_hi) >> 1
-            c_lo = argmax[r_lo]
-            width = argmax[r_hi + 2] - c_lo + 1
+        for mid, left, right in level_schedule(n) if schedule is None else schedule:
+            c_lo = argmax[left]
+            width = argmax[right] - c_lo + 1
             ends = width.cumsum()
             starts = ends - width
             cols = np.arange(ends[-1]) - (starts - c_lo).repeat(width)
-            vals = np.asarray(matrix.value(mid.repeat(width), cols), dtype=np.float64)
+            vals = np.asarray(matrix.value(mid, width, cols), dtype=np.float64)
             best[mid] = seg_max = np.maximum.reduceat(vals, starts)
-            # each segment's first cell holding its maximum
+            # each range's first cell holding its maximum
             hits = (vals == seg_max.repeat(width)).nonzero()[0]
             argmax[mid + 1] = cols[hits[hits.searchsorted(starts)]]
-            # the rows above the middle one and the rows below it; empty
-            # ranges drop out
-            r_lo, r_hi = np.concatenate((r_lo, mid + 1)), np.concatenate((mid - 1, r_hi))
-            keep = r_lo <= r_hi
-            r_lo, r_hi = r_lo[keep], r_hi[keep]
         args[:] = argmax[1:-1]
     if out is None:
         return list(zip(args.tolist(), best.tolist()))
@@ -379,9 +409,11 @@ def divergence_table_monotone(dist: SegmentedDistribution, n_regions: int) -> DP
     # one pair for every column: _fill_columns copies a column's maxima into
     # the table before the next solve writes over them
     out = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
+    # every column's matrix has n - 1 rows, so the recursion's ranges are the same
+    schedule = level_schedule(n - 1)
 
     def row_maxima(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return monotone_row_maxima(TransitionMatrix(dist, prev), out)
+        return monotone_row_maxima(TransitionMatrix(dist, prev), out, schedule)
 
     values, parents = _new_table(n, n_regions)
     # the cells a divide and conquer over column 1 would evaluate: start 0 only
@@ -398,7 +430,9 @@ def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
     ... < b_(n_regions-1) = starts[i] - 1, then the final region from
     ``starts[i]``.  Starts whose cell (starts[i] - 1, n_regions - 1) is -inf
     have no clustering and get no row; the other rows keep the order of
-    ``starts``.  The walk back is one gather of ``parents`` per region.
+    ``starts``.  The walk back is one gather of ``parents`` per region.  The
+    array is the transposed view of a region-major one: its columns, each
+    boundary's entries for every start, are contiguous.
 
     A start or region count that is not an integer, or lies outside the
     table, raises ValidationError.  A parent that does not begin a nonempty
@@ -406,20 +440,24 @@ def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
     prefix, raises InfeasibleError.
     """
     p = np.asarray(starts)
-    if p.dtype.kind not in "iu":  # a list of Python ints arrives as int64
-        p = np.array([as_integer("start", s) for s in starts], dtype=np.int64)
-    p = p.astype(np.int64, copy=False) - 1
+    if p.dtype.kind != "i":  # a list of Python ints arrives as int64
+        # kept as Python ints until the range check: a start too large for
+        # int64 is outside the table like any other
+        p = np.array([as_integer("start", s) for s in starts], dtype=object)
+    p = p - 1
     n_regions = as_integer("n_regions", n_regions)
     q = n_regions - 1
     outside = (p < 0) | (p >= table.n_rows)
     if outside.any() or not 0 <= q < table.n_cols:
         at = p[outside.argmax()] if p.size else 0
         raise ValidationError(f"cell ({at}, {q}) outside table of shape {table.values.shape}")
+    p = p.astype(np.int64, copy=False)
     p = p[table.values[p, q] != NEG_INF]
-    bounds = np.empty((p.size, n_regions + 1), dtype=np.int64)
-    bounds[:, n_regions] = table.n_rows
+    # region-major, so that each boundary is one contiguous row
+    bounds = np.empty((n_regions + 1, p.size), dtype=np.int64)
+    bounds[n_regions] = table.n_rows
     for q in range(n_regions - 1, 0, -1):
-        bounds[:, q] = p
+        bounds[q] = p
         first = table.parents[p, q]
         missing = (first < 1) | (first > p)
         if missing.any():
@@ -429,8 +467,8 @@ def trace_layouts(table: DPTable, starts, n_regions: int) -> np.ndarray:
         p = first - 1
     if p.any():
         raise InfeasibleError("parent chain did not consume the whole prefix")
-    bounds[:, 0] = 0
-    return bounds
+    bounds[0] = 0
+    return bounds.T
 
 
 def write_table_csv(table: DPTable, path) -> None:

@@ -138,7 +138,13 @@ class RegionPlan:
         store = partial(object.__setattr__, self)
         k = as_integer("n_regions", self.n_regions)
         store("n_regions", k)
-        store("boundaries", tuple(as_integer("boundary", b) for b in self.boundaries))
+        entries = {}
+        for name in ("boundaries", "fprs", "key_mass", "nonkey_mass"):
+            try:
+                entries[name] = tuple(given[name])
+            except TypeError:
+                raise ValidationError(f"{name} must be a sequence, got {given[name]!r}") from None
+        store("boundaries", tuple(as_integer("boundary", b) for b in entries["boundaries"]))
         if k < 1 or len(self.boundaries) != k + 1:
             raise ValidationError("boundaries must have n_regions + 1 entries")
         if self.boundaries[0] != 0:
@@ -148,9 +154,9 @@ class RegionPlan:
         if self.n_segments > MAX_SEGMENTS:
             raise ValidationError(f"plan has {self.n_segments} segments, more than {MAX_SEGMENTS}")
         for name in ("key_mass", "nonkey_mass", "fprs"):
-            if len(given[name]) != k:
+            if len(entries[name]) != k:
                 raise ValidationError(f"{name} must have one entry per region")
-            store(name, tuple(map(as_real, given[name])))
+            store(name, tuple(map(as_real, entries[name])))
         for name, masses in (("key_mass", self.key_mass), ("nonkey_mass", self.nonkey_mass)):
             if not all(0.0 <= x < inf for x in masses):
                 raise ValidationError(
@@ -254,14 +260,23 @@ def ensure_positive_masses(dist: SegmentedDistribution) -> SegmentedDistribution
 
 
 def _positive_masses(key_mass, nonkey_mass) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Mass vectors as (layouts x regions) arrays, and whether they came as a batch."""
+    """Mass vectors by region (see :func:`_by_region`), and whether they came as a batch."""
     g = np.asarray(key_mass, dtype=np.float64)
     h = np.asarray(nonkey_mass, dtype=np.float64)
     if g.ndim not in (1, 2) or g.shape[-1] < 1 or h.shape != g.shape:
         raise ValidationError("mass vectors must be equally sized and nonempty")
     if not (((0.0 < g) & (g < inf)).all() and ((0.0 < h) & (h < inf)).all()):
         raise ValidationError("region masses must be finite and positive")
-    return g.reshape(-1, g.shape[-1]), h.reshape(-1, h.shape[-1]), g.ndim == 2
+    return _by_region(g), _by_region(h), g.ndim == 2
+
+
+def _by_region(x) -> np.ndarray:
+    """A (layouts x regions) batch, or one layout's vector, as (regions x layouts).
+
+    The result is C-contiguous, so each region is one contiguous row: the
+    transposed view of a batch that is already region-major, else a copy.
+    """
+    return np.ascontiguousarray(np.atleast_2d(x).T)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -280,60 +295,69 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Each row's sum (of the entries ``mask`` marks), added left to right.
+    """Each layout's sum (of the entries ``mask`` marks) over the rows of ``x``.
 
-    That is the order in which Python's ``sum`` adds a list; numpy sums eight
-    or more entries pairwise, which can round differently.
+    ``x`` holds one region per row and one layout per column, and the rows
+    are added in order, one contiguous row at a time.  That is the order in
+    which Python's ``sum`` adds a list; numpy sums eight or more entries
+    pairwise, which can round differently.
     """
-    total = np.zeros(len(x))
-    for i in range(x.shape[1]):
-        total += x[:, i] if mask is None else np.where(mask[:, i], x[:, i], 0.0)
+    total = np.zeros(x.shape[1])
+    for i in range(len(x)):
+        total += x[i] if mask is None else np.where(mask[i], x[i], 0.0)
     return total
 
 
 def _clamped_rates(g: np.ndarray, h: np.ndarray, closed_form, clamped: np.ndarray):
     """Clamp rates above 1 and re-solve the rest until all lie in (0, 1].
 
-    ``g`` and ``h`` hold one layout's region masses per row, and ``clamped``
-    marks the regions that start at rate 1; it is updated in place.  Each
-    pass gives the layouts ``rows`` the rate G_i * num / (H_i * den) in their
-    free regions and 1 in their clamped ones, where
-    ``closed_form(rows, free, head_room, h_clamped)`` is the framework's
-    scale: it returns ``num``, ``den`` and whether each layout is feasible,
-    given its free regions, the key mass 1 - G_clamped left to them and the
-    non-key mass of its clamped regions.  A layout with free regions and no
-    key mass left is infeasible too.  Returns the rates, NaN across an
-    infeasible layout's row, and where each layout stopped: its clamped
-    regions and their key and non-key mass.
+    ``g`` and ``h`` hold region masses by region (see :func:`_by_region`),
+    one layout per column, and ``clamped`` marks the regions that start at
+    rate 1; it is updated in place.  Each pass gives the ``layouts`` it
+    solves the rate G_i * num / (H_i * den) in their free regions and 1 in
+    their clamped ones, where ``closed_form(layouts, free, head_room,
+    h_clamped)`` is the framework's scale: it returns ``num``, ``den`` and
+    whether each layout is feasible, given its free regions, the key mass
+    1 - G_clamped left to them and the non-key mass of its clamped regions.
+    The first pass solves every layout, through a slice; later ones those
+    that clamped more.  A layout with free regions and no key mass left is
+    infeasible too.  Returns the rates, NaN across an infeasible layout's
+    column, and where each layout stopped: its clamped regions and their key
+    and non-key mass.
     """
-    rows = np.arange(len(g))
+    every = np.arange(g.shape[1])
+    layouts = np.s_[:]
     g_clamped = _row_sums(g, clamped)
     h_clamped = _row_sums(h, clamped)
     f = np.empty(g.shape)
-    while rows.size:
-        free = ~clamped[rows]
-        head_room = 1.0 - g_clamped[rows]
-        num, den, feasible = closed_form(rows, free, head_room, h_clamped[rows])
-        feasible &= ~free.any(axis=1) | (head_room > 0.0)
+    while True:
+        free = ~clamped[:, layouts]
+        head_room = 1.0 - g_clamped[layouts]
+        num, den, feasible = closed_form(layouts, free, head_room, h_clamped[layouts])
+        feasible &= ~free.any(axis=0) | (head_room > 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(g.shape[1]):  # by column: a large batch needs no big temporaries
-                f[rows, i] = np.where(free[:, i], g[rows, i] * num / (h[rows, i] * den), 1.0)
-        f[rows[~feasible]] = np.nan
-        newly = ~clamped & (f > 1.0)  # NaN > 1 is false: infeasible rows stop
-        rows = np.flatnonzero(newly.any(axis=1))
+            for i in range(len(g)):  # by region: a large batch needs no big temporaries
+                f[i, layouts] = np.where(free[i], g[i, layouts] * num / (h[i, layouts] * den), 1.0)
+        f[:, every[layouts][~feasible]] = np.nan
+        newly = ~clamped & (f > 1.0)  # NaN > 1 is false: infeasible layouts stop
+        layouts = np.flatnonzero(newly.any(axis=0))
+        if not layouts.size:
+            return np.maximum(f, FPR_FLOOR, out=f), clamped, g_clamped, h_clamped
         clamped |= newly
-        g_clamped[rows] = _row_sums(g[rows], clamped[rows])
-        h_clamped[rows] = _row_sums(h[rows], clamped[rows])
-    return np.maximum(f, FPR_FLOOR, out=f), clamped, g_clamped, h_clamped
+        g_clamped[layouts] = _row_sums(g[:, layouts], clamped[:, layouts])
+        h_clamped[layouts] = _row_sums(h[:, layouts], clamped[:, layouts])
 
 
 def _one_or_batch(fprs: np.ndarray, batch: bool, error):
-    """A batch's rates as they are; one layout's as a list, or ``error()`` raised."""
+    """A batch's rates as (layouts x regions); one layout's as a list, or ``error()`` raised.
+
+    ``fprs`` holds the rates by region, so a batch's are its transposed view.
+    """
     if batch:
-        return fprs
+        return fprs.T
     if np.isnan(fprs[0, 0]):
         raise error()
-    return fprs[0].tolist()
+    return fprs[:, 0].tolist()
 
 
 def optimal_fprs_for_fpr(
@@ -356,9 +380,9 @@ def optimal_fprs_for_fpr(
     if not (0.0 < target < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
 
-    def closed_form(rows, free, head_room, h_clamped):
+    def closed_form(layouts, free, head_room, h_clamped):
         budget = target - h_clamped
-        feasible = np.where(free.any(axis=1), budget > 0.0, h_clamped <= target)
+        feasible = np.where(free.any(axis=0), budget > 0.0, h_clamped <= target)
         return budget, head_room, feasible
 
     fprs, clamped, _, h_clamped = _clamped_rates(
@@ -366,7 +390,7 @@ def optimal_fprs_for_fpr(
     )
 
     def error():
-        if clamped[0].all():
+        if clamped[:, 0].all():
             return InfeasibleError(
                 f"clamped regions alone carry rate {h_clamped[0]:.6g} > "
                 f"target {target:.6g}"
@@ -396,6 +420,7 @@ def _pow2(exponents: np.ndarray) -> np.ndarray:
 def _memory_rates(g, h, memory_bits: float, scaled_keys: float, log2, pow2):
     """The ``memory`` framework's rates, clamped regions and their key mass.
 
+    The masses, rates and clamp mask are by region, as in :func:`_clamped_rates`.
     ``log2`` and ``pow2`` take an array and return it mapped entry by entry.
     """
     with np.errstate(over="ignore"):
@@ -407,14 +432,14 @@ def _memory_rates(g, h, memory_bits: float, scaled_keys: float, log2, pow2):
     region_div = g * log2(np.maximum(ratio, 2.0**-1074, out=ratio))
     del ratio  # a large batch's working set stays smaller without it
 
-    def closed_form(rows, free, head_room, _h_clamped):
-        k_sum = _row_sums(region_div[rows], free)
+    def closed_form(layouts, free, head_room, _h_clamped):
+        k_sum = _row_sums(region_div[:, layouts], free)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             beta = (memory_bits + scaled_keys * k_sum) / (scaled_keys * head_room)
             # 2**1023 is the largest finite power of two: capping the exponent
             # turns a beta below -1023 into rates far above 1, which clamp
             exponents = np.minimum(-beta, 1023.0)
-        return pow2(exponents), 1.0, np.ones(len(rows), bool)
+        return pow2(exponents), 1.0, np.ones(len(head_room), bool)
 
     fprs, clamped, g_clamped, _ = _clamped_rates(g, h, closed_form, overflowed)
     return fprs, clamped, g_clamped
@@ -458,13 +483,13 @@ def bloom_memory_bits(key_mass, fprs, scaled_keys: float) -> float | np.ndarray:
 
 def _memory_bits(key_mass, fprs, scaled_keys: float, log2) -> float | np.ndarray:
     f = np.asarray(fprs, dtype=np.float64)
-    g_cols, f_cols = np.broadcast_arrays(
-        np.atleast_2d(np.asarray(key_mass, dtype=np.float64)), np.atleast_2d(f)
+    g_rows, f_rows = np.broadcast_arrays(
+        _by_region(np.asarray(key_mass, dtype=np.float64)), _by_region(f)
     )
-    total = np.zeros(len(f_cols))
-    # by column, added left to right as in _row_sums: a large batch needs no
+    total = np.zeros(f_rows.shape[1])
+    # by region, added in order as in _row_sums: a large batch needs no
     # temporaries of its own size
-    for g, fi in zip(g_cols.T, f_cols.T):
+    for g, fi in zip(g_rows, f_rows):
         stores = (fi < 1.0) & (g > 0.0) | np.isnan(fi)
         bits = log2(np.where(stores, fi, 1.0))
         np.negative(bits, out=bits)
@@ -480,7 +505,7 @@ def expected_fpr(nonkey_mass, fprs) -> float | np.ndarray:
     gives one rate per row.
     """
     f = np.asarray(fprs, dtype=np.float64)
-    total = _row_sums(np.atleast_2d(np.asarray(nonkey_mass, dtype=np.float64) * f))
+    total = _row_sums(_by_region(np.asarray(nonkey_mass, dtype=np.float64)) * _by_region(f))
     return total if f.ndim == 2 else float(total[0])
 
 
@@ -508,12 +533,13 @@ def _ranked_scores(config, scaled, key_mass, nonkey_mass):
         # these rates hold no log or pow, so they are the exact ones already
         fprs = optimal_fprs_for_fpr(key_mass, nonkey_mass, config.target_fpr)
         return _memory_bits(key_mass, fprs, scaled, np.log2)
+    g, h = _by_region(key_mass), _by_region(nonkey_mass)
     fprs, clamped, g_clamped = _memory_rates(
-        key_mass, nonkey_mass, config.memory_bits, scaled, np.log2, _ranked_pow2
+        g, h, config.memory_bits, scaled, np.log2, _ranked_pow2
     )
     # RANK_RTOL's bound holds while the free key mass is at most twice the head room
-    fprs[_row_sums(key_mass, ~clamped) > 2.0 * (1.0 - g_clamped)] = nan
-    return expected_fpr(nonkey_mass, fprs)
+    fprs[:, _row_sums(g, ~clamped) > 2.0 * (1.0 - g_clamped)] = nan
+    return _row_sums(h * fprs)
 
 
 def _settled_winner(config, scaled, key_mass, nonkey_mass):
@@ -621,13 +647,18 @@ def solve_timed(
         bounds = trace_layouts(table, starts, k)
     del table  # no longer needed: the rate solves below peak lower without it
 
-    key_mass, nonkey_mass = dist.masses(bounds[:, :-1], bounds[:, 1:])
+    # by region, one layout per column (trace_layouts' rows are the columns
+    # of a region-major array), so the rate solves read each region as one
+    # contiguous row
+    key_mass, nonkey_mass = dist.masses(bounds.T, None)
     # prefix sums never decrease, so a region that cancellation emptied has
     # mass exactly 0 and no closed-form rate
-    solvable = (key_mass != 0.0).all(axis=1) & (nonkey_mass != 0.0).all(axis=1)
-    bounds = bounds[solvable]
-    key_mass = key_mass[solvable]
-    nonkey_mass = nonkey_mass[solvable]
+    solvable = (key_mass != 0.0).all(axis=0) & (nonkey_mass != 0.0).all(axis=0)
+    if not solvable.all():
+        bounds = bounds[solvable]
+        key_mass, nonkey_mass = key_mass[:, solvable], nonkey_mass[:, solvable]
+    # (layouts x regions) views, as the rate solvers take a batch
+    key_mass, nonkey_mass = key_mass.T, nonkey_mass.T
     winner = _settled_winner(config, scaled, key_mass, nonkey_mass)
     if winner is None:
         if len(bounds):

@@ -80,12 +80,13 @@ def best_clustering_exhaustive(
 def naive_row_maxima(matrix) -> list[tuple[int, float]]:
     """Per-row (argmax column, value) by scanning every entry; smallest-index ties.
 
-    One ``matrix.value`` call per row, over all of that row's columns.
+    One ``matrix.value`` call per row: a level of one range, all of that
+    row's columns.
     """
     cols = np.arange(matrix.col_count)
     out = []
     for row in range(matrix.row_count):
-        vals = np.asarray(matrix.value(np.full(cols.size, row), cols), dtype=np.float64)
+        vals = np.asarray(matrix.value([row], [cols.size], cols), dtype=np.float64)
         best = int(np.argmax(vals))
         out.append((best, float(vals[best])))
     return out

@@ -34,8 +34,13 @@ class DenseMatrix:
         if np.isnan(self._values).any():
             raise ValidationError("NaN entry: the matrix protocol has none")
 
-    def value(self, row, col):
-        return self._values[row, col]
+    def value(self, rows, counts, cols):
+        return self._values[np.repeat(rows, counts), cols]
+
+
+def cell(matrix, row, col):
+    """One entry of a matrix: a ``value`` call for a level of one one-cell range."""
+    return matrix.value(np.array([row]), np.array([1]), np.array([col]))[0]
 
 
 class CountingMatrix:
@@ -47,9 +52,9 @@ class CountingMatrix:
         self.col_count = inner.col_count
         self.calls = 0
 
-    def value(self, row, col):
-        self.calls += np.size(row)
-        return self.inner.value(row, col)
+    def value(self, rows, counts, cols):
+        self.calls += np.size(cols)
+        return self.inner.value(rows, counts, cols)
 
 
 def planted_monotone_matrix(rng, n_rows, n_cols):

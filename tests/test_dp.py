@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     CountingMatrix,
     DenseMatrix,
+    cell,
     planted_monotone_matrix,
     random_distribution,
     underflow_distribution,
@@ -26,6 +27,7 @@ from plbf import (
     divergence,
     divergence_table,
     divergence_table_monotone,
+    level_schedule,
     monotone_row_maxima,
     trace_layouts,
     zipfian_distribution,
@@ -220,8 +222,12 @@ class TestTraceBoundaries:
         ([3], 2.5, "n_regions must be an integer, got 2.5"),
         ([3.7], 2, "start must be an integer, got 3.7"),
         ([3, 2.0], 2, "start must be an integer, got 2.0"),
+        ([2**70], 2, f"cell ({2**70 - 1}, 1) outside table"),
+        ([3, -2**70], 3, f"cell ({-2**70 - 1}, 2) outside table"),
+        (np.array([0], dtype=np.uint64), 3, "cell (-1, 2) outside table"),
     ], ids=["start-0", "start-past-end", "too-many-regions", "no-regions", "no-starts",
-            "fractional-regions", "fractional-start", "float-start"])
+            "fractional-regions", "fractional-start", "float-start", "start-past-int64",
+            "start-below-int64", "unsigned-start-0"])
     def test_every_start_and_region_count_is_checked(self, starts, n_regions, message):
         d = random_distribution(np.random.default_rng(7), 6)
         table = divergence_table(d, 3)
@@ -279,8 +285,8 @@ class TestMonotoneRowMaxima:
         class Matrix:  # DenseMatrix has __slots__, so no weak reference
             row_count = col_count = 6
 
-            def value(self, row, col):
-                return -abs(row - col)
+            def value(self, rows, counts, cols):
+                return -abs(np.repeat(rows, counts) - cols)
 
         matrix = Matrix()
         alive = weakref.ref(matrix)
@@ -293,6 +299,49 @@ class TestMonotoneRowMaxima:
             gc.enable()
 
 
+class TestLevelSchedule:
+    @staticmethod
+    def recursive_levels(n):
+        """The ranges of the recursion over rows 0..n-1, by depth, in row order."""
+        levels = []
+
+        def visit(lo, hi, depth):
+            if lo > hi:
+                return
+            if depth == len(levels):
+                levels.append([])
+            mid = (lo + hi) >> 1
+            visit(lo, mid - 1, depth + 1)
+            levels[depth].append((lo, hi))
+            visit(mid + 1, hi, depth + 1)
+
+        visit(0, n - 1, 0)
+        return levels
+
+    @pytest.mark.parametrize("n", [*range(0, 65), 1000, 4095, 4096, 4097, 100_000])
+    def test_levels_are_the_recursions_ranges(self, n):
+        schedule = level_schedule(n)
+        expected = self.recursive_levels(n)
+        assert len(schedule) == len(expected)
+        for (mid, left, right), ranges in zip(schedule, expected):
+            lo, hi = np.array(ranges, dtype=np.intp).reshape(-1, 2).T
+            assert left.tolist() == lo.tolist()
+            assert (right - 2).tolist() == hi.tolist()
+            assert mid.tolist() == ((lo + hi) >> 1).tolist()
+        # every row is the middle row of exactly one range
+        mids = np.concatenate([mid for mid, _, _ in schedule] or [np.empty(0, np.intp)])
+        assert np.sort(mids).tolist() == list(range(n))
+
+    def test_one_schedule_serves_every_matrix_with_its_row_count(self):
+        rng = np.random.default_rng(4)
+        schedule = level_schedule(23)
+        for _ in range(5):
+            matrix, targets = planted_monotone_matrix(rng, 23, int(rng.integers(1, 40)))
+            expected = monotone_row_maxima(matrix)
+            assert monotone_row_maxima(matrix, schedule=schedule) == expected
+            assert [c for c, _ in expected] == targets
+
+
 class TestDenseMatrix:
     def test_rejects_ragged_rows_and_nan(self):
         with pytest.raises(ValidationError):
@@ -300,10 +349,10 @@ class TestDenseMatrix:
         with pytest.raises(ValidationError):
             DenseMatrix([[math.nan, 1.0], [2.0, 3.0]])
 
-    def test_value_is_elementwise(self):
+    def test_value_reads_a_level_range_by_range(self):
         matrix = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert matrix.value(1, 0) == 3.0
-        assert matrix.value(np.array([0, 1, 1]), np.array([1, 1, 0])).tolist() == [2.0, 4.0, 3.0]
+        assert cell(matrix, 1, 0) == 3.0
+        assert matrix.value([0, 1], [1, 2], [1, 1, 0]).tolist() == [2.0, 4.0, 3.0]
 
 
 class TestTransitionMatrix:
@@ -313,30 +362,40 @@ class TestTransitionMatrix:
         matrix = TransitionMatrix(d, prev)
         assert matrix.row_count == matrix.col_count == 2
         # start at segment 1 (col 0): prev[0] + divergence(1..row+1)
-        assert matrix.value(0, 0) == pytest.approx(divergence(d, 1, 1), abs=1e-12)
-        assert matrix.value(1, 0) == pytest.approx(divergence(d, 1, 2), abs=1e-12)
+        assert cell(matrix, 0, 0) == pytest.approx(divergence(d, 1, 1), abs=1e-12)
+        assert cell(matrix, 1, 0) == pytest.approx(divergence(d, 1, 2), abs=1e-12)
 
     def test_upper_triangle_is_forbidden(self):
         matrix = TransitionMatrix(dyadic_dist(), [0.0, 0.0, 0.0])
-        assert matrix.value(0, 1) == NEG_INF
+        assert cell(matrix, 0, 1) == NEG_INF
 
     def test_unreachable_prefix_propagates(self):
         matrix = TransitionMatrix(dyadic_dist(), [NEG_INF, 0.0, 0.0])
-        assert matrix.value(1, 0) == NEG_INF
+        assert cell(matrix, 1, 0) == NEG_INF
+
+    def test_a_level_equals_its_cells_one_at_a_time(self):
+        # each range reads its row's prefix once: the entries are those of
+        # single-cell calls, to the bit, past the diagonal included
+        d = random_distribution(np.random.default_rng(3), 9)
+        matrix = TransitionMatrix(d, np.r_[0.0, np.linspace(-1.0, 2.0, 7), NEG_INF])
+        rows, counts = np.array([0, 3, 4, 7]), np.array([3, 1, 5, 8])
+        cols = np.concatenate([np.arange(2, 5), [3], np.arange(5), np.arange(8)])
+        one_at_a_time = [cell(matrix, r, c) for r, c in zip(rows.repeat(counts), cols)]
+        assert matrix.value(rows, counts, cols).tobytes() == np.array(one_at_a_time).tobytes()
 
     def test_zero_key_mass_keeps_previous_value(self):
         d = SegmentedDistribution.from_masses(
             [0.0, 1.0], [0.5, 0.5], n_keys=1, normalize=False
         )
         matrix = TransitionMatrix(d, [0.25])
-        assert matrix.value(0, 0) == 0.25
+        assert cell(matrix, 0, 0) == 0.25
 
     def test_zero_nonkey_mass_is_infinite(self):
         d = SegmentedDistribution.from_masses(
             [0.5, 0.5], [0.0, 1.0], n_keys=1, normalize=False
         )
         matrix = TransitionMatrix(d, [0.0])
-        assert matrix.value(0, 0) == math.inf
+        assert cell(matrix, 0, 0) == math.inf
 
 
 class TestMonotoneTable:

@@ -13,7 +13,7 @@ from math import inf, isnan
 
 import numpy as np
 import pytest
-from conftest import CountingMatrix, DenseMatrix
+from conftest import CountingMatrix, DenseMatrix, cell
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,9 +74,9 @@ def reference_row_maxima(matrix):
         if r_lo > r_hi:
             continue
         mid = (r_lo + r_hi) >> 1
-        best_c, best_v = c_lo, matrix.value(mid, c_lo)
+        best_c, best_v = c_lo, cell(matrix, mid, c_lo)
         for c in range(c_lo + 1, c_hi + 1):
-            v = matrix.value(mid, c)
+            v = cell(matrix, mid, c)
             if v > best_v:
                 best_v, best_c = v, c
         out[mid] = (best_c, float(best_v))
@@ -97,7 +97,10 @@ class ScalarTransitionMatrix:
         self.prev = list(prev)
         self.row_count = self.col_count = dist.n_segments - 1
 
-    def value(self, row, col):
+    def value(self, rows, counts, cols):
+        return np.array([self.entry(r, c) for r, c in zip(np.repeat(rows, counts), cols)])
+
+    def entry(self, row, col):
         if col > row:
             return NEG_INF
         sg = self.gp[row + 1] - self.gp[col]
@@ -285,8 +288,9 @@ def test_table_scratch_stays_within_the_byte_budget():
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_only_columns_after_the_one_region_column_are_searched(monkeypatch, k):
     # column 0 is reachable only at row 0, so column 1 needs no search: the
-    # row-maxima table solves k - 2 columns, and every block of an N x k
-    # build scans k - 2 of its columns
+    # row-maxima table computes one level schedule and solves k - 2 columns
+    # with it, one value() call per level, and every block of an N x k build
+    # scans k - 2 of its columns
     d = zipfian_distribution(SyntheticSpec(40, 1000, 1000))
     calls = []
 
@@ -297,11 +301,15 @@ def test_only_columns_after_the_one_region_column_are_searched(monkeypatch, k):
 
         return wrapper
 
+    levels = len(dp.level_schedule(39))
+    monkeypatch.setattr(dp, "level_schedule", counted(dp.level_schedule))
     monkeypatch.setattr(dp, "monotone_row_maxima", counted(monotone_row_maxima))
+    monkeypatch.setattr(dp.TransitionMatrix, "value", counted(dp.TransitionMatrix.value))
     monkeypatch.setattr(dp, "_scan", counted(dp._scan))
     monkeypatch.setattr(dp, "SLAB_BYTES", 8 * 40 * 5)  # 5 rows a block: 8 blocks
     divergence_table_monotone(d, k)
-    assert calls == ["monotone_row_maxima"] * (k - 2)
+    column = ["monotone_row_maxima"] + ["value"] * levels
+    assert calls == ["level_schedule"] + column * (k - 2)
     calls.clear()
     divergence_table(d, k)
     assert calls == ["_scan"] * (8 * (k - 2))
@@ -372,22 +380,50 @@ def test_array_path_equals_the_list_path(n, m, monotone, seed):
     assert out[0].tobytes() == np.array([v for _, v in listed], dtype=np.float64).tobytes()
 
 
-@REFERENCE_SETTINGS
-@example(n=300, k=2, samples=50, seed=5)  # the one-region column alone
+def reference_case(kind, n, seed):
+    """A histogram of n segments: ideal, swapped, noisy, sparse or subnormal.
+
+    A noisy or swapped histogram is not ideal, so its candidate matrices are
+    not monotone and the divide and conquer visits differ from a scan.
+    Sparse ones hold zero masses; subnormal ones unnormalized subnormal
+    masses, so G / H overflows or underflows.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "ideal":
+        return zipfian_distribution(SyntheticSpec(n, 10000, 10000))
+    if kind == "swapped":
+        return zipfian_distribution(SyntheticSpec(n, 10000, 10000, n_swaps=n // 3, seed=seed))
+    if kind == "noisy":
+        ideal = zipfian_distribution(SyntheticSpec(n, 10000, 10000))
+        samples = int(rng.integers(50, 5000))
+        keys = rng.multinomial(samples, ideal.g / ideal.g.sum()) / samples
+        nonkeys = rng.multinomial(samples, ideal.h / ideal.h.sum()) / samples
+        return SegmentedDistribution.from_masses(keys, nonkeys, samples, normalize=False)
+    if kind == "sparse":
+        g, h = sparse_skewed(rng, n, 0.3), sparse_skewed(rng, n, 0.3)
+        g[0] = h[-1] = 1e-3  # keep both totals positive
+        return SegmentedDistribution.from_masses(g, h, n_keys=1000)
+    g = rng.choice([5e-324, 1e-310, 1e-300, 0.0, 1.0], n)
+    h = rng.choice([5e-324, 1e-310, 1e-300, 0.0, 1.0], n)
+    g[0] = h[-1] = 5e-324
+    return SegmentedDistribution.from_masses(g, h, n_keys=10, normalize=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(kind="noisy", n=300, k=2, seed=5)  # the one-region column alone
+@example(kind="ideal", n=300, k=8, seed=0)
+@example(kind="subnormal", n=3, k=2, seed=1)
 @given(
-    n=st.integers(20, 300),
-    k=st.integers(2, 6),
-    samples=st.integers(50, 5000),
+    kind=st.sampled_from(["ideal", "swapped", "noisy", "sparse", "subnormal"]),
+    n=st.integers(3, 300),
+    k=st.integers(2, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_monotone_table_equals_the_scalar_reference(n, k, samples, seed):
-    # a histogram sampled from an ideal one is noisy: its candidate matrices
-    # are not monotone, so the divide and conquer visits differ from a scan
-    ideal = zipfian_distribution(SyntheticSpec(n, 10000, 10000))
-    rng = np.random.default_rng(seed)
-    keys = rng.multinomial(samples, ideal.g / ideal.g.sum()) / samples
-    nonkeys = rng.multinomial(samples, ideal.h / ideal.h.sum()) / samples
-    raw = SegmentedDistribution.from_masses(keys, nonkeys, samples, normalize=False)
+def test_monotone_table_equals_the_scalar_reference(kind, n, k, seed):
+    # byte for byte, raw and floored: the table's one level schedule and the
+    # per-range prefix reads give what single-cell evaluations give
+    k = min(k, n - 1)
+    raw = reference_case(kind, n, seed)
     for d in (raw, ensure_positive_masses(raw)):
         table = divergence_table_monotone(d, k)
         values, parents = reference_monotone_table(d, k)

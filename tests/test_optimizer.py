@@ -225,6 +225,38 @@ def test_rate_solvers_reject_reals_that_are_not_real_numbers(solver, message):
         solver([0.5, 0.5], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_batches_in_either_memory_order_give_the_same_bits(k):
+    # the solvers work by region, one contiguous row each: a region-major
+    # (Fortran-ordered) batch is read through its transposed view, a
+    # layout-major one copied; both give (layouts x regions) rates, and
+    # every total, to the bit, as one layout alone does
+    rng = np.random.default_rng(k)
+    g = rng.uniform(1e-3, 1.0, (40, k)) ** 4
+    h = rng.uniform(1e-3, 1.0, (40, k)) ** 4
+    g[::7, 0] *= 1e6  # rates that clamp
+    g, h = g / g.sum(axis=1, keepdims=True), h / h.sum(axis=1, keepdims=True)
+    results = []
+    for order in "CF":
+        gb, hb = np.array(g, order=order), np.array(h, order=order)
+        by_rate = optimal_fprs_for_fpr(gb, hb, 0.01)
+        by_memory = optimal_fprs_for_memory(gb, hb, 4e4, 1e4)
+        results.append([
+            by_rate, by_memory,
+            bloom_memory_bits(gb, np.array(by_rate, order=order), 1e4),
+            expected_fpr(hb, np.array(by_memory, order=order)),
+        ])
+    for c_ordered, f_ordered in zip(*results):
+        assert c_ordered.shape == f_ordered.shape
+        assert c_ordered.tobytes() == np.ascontiguousarray(f_ordered).tobytes()
+    by_rate, by_memory, bits, rate = results[0]
+    for i in range(len(g)):
+        assert by_rate[i].tolist() == optimal_fprs_for_fpr(g[i], h[i], 0.01)
+        assert by_memory[i].tolist() == optimal_fprs_for_memory(g[i], h[i], 4e4, 1e4)
+        assert bits[i] == bloom_memory_bits(g[i], by_rate[i], 1e4)
+        assert rate[i] == expected_fpr(h[i], by_memory[i])
+
+
 class TestSpaceAndRate:
     def test_memory_formula(self):
         assert bloom_memory_bits([1.0], [0.5], 1000.0) == 1000.0
@@ -383,9 +415,12 @@ class TestRegionPlanValidation:
         ("objective", "1", "objective must be finite and nonnegative, got '1'$"),
         ("objective", None, "objective must be finite and nonnegative, got None"),
         ("algorithm", None, "plan algorithm must be a string, got None"),
+        ("fprs", None, "fprs must be a sequence, got None"),
+        ("boundaries", None, "boundaries must be a sequence, got None"),
+        ("key_mass", 0.5, "key_mass must be a sequence, got 0.5"),
     ], ids=["float-n-regions", "float-boundary", "fractional-boundary", "text-rate",
             "none-key-mass", "text-nonkey-mass", "text-objective", "none-objective",
-            "none-algorithm"])
+            "none-algorithm", "none-rates", "none-boundaries", "number-key-mass"])
     def test_rejects_numbers_and_names_of_the_wrong_type(self, field, value, message):
         # as_real reads text as NaN: the message shows the value given, not nan
         with pytest.raises(ValidationError, match=message):

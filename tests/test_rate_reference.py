@@ -18,9 +18,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbf import InfeasibleError, optimal_fprs_for_fpr, optimal_fprs_for_memory
-from plbf.optimizer import FPR_FLOOR, _log2, _row_sums
+from plbf.optimizer import FPR_FLOOR, _log2
 
 REFERENCE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _row_sums(x, mask):
+    """Each row's sum of the entries ``mask`` marks, added left to right."""
+    total = np.zeros(len(x))
+    for i in range(x.shape[1]):
+        total += np.where(mask[:, i], x[:, i], 0.0)
+    return total
 
 
 def reference_clamped_rates(g, h, free_rates):
